@@ -1,5 +1,10 @@
 """Quantum-kernel and RBF SVM classification of GNSS signal reception
-conditions (LOS / NLOS / LOS+NLOS)."""
+conditions (LOS / NLOS / LOS+NLOS).
+
+The package namespace holds the pipeline API. The statevector simulator and
+the feature-map circuits live in ``gnss_qsvm.sim`` and
+``gnss_qsvm.feature_map``; Gram assembly in ``gnss_qsvm.kernels``.
+"""
 
 from .data import (
     Dataset,
@@ -13,112 +18,46 @@ from .data import (
     load_csv,
     write_csv,
 )
-from .evaluate import (
-    BoundaryGrid,
-    EvalReport,
-    accuracy,
-    boundary_grid,
-    confusion,
-    make_report,
-)
-from .feature_map import FeatureMapConfig, PhaseSet, build_circuit, compute_phases, map_to_state
-from .kernels import (
-    FIDELITY_EXACT,
-    FIDELITY_SAMPLED,
-    RBF,
-    KernelConfig,
-    KernelMatrix,
-    default_gamma,
-    fidelity_exact,
-    fidelity_sampled,
-    gram_rectangular,
-    gram_symmetric,
-    rbf,
-)
-from .sim import (
-    Circuit,
-    Gate,
-    QuantumState,
-    apply_gate,
-    cnot,
-    hadamard,
-    inner_product,
-    inverse_circuit,
-    phase,
-    run_circuit,
-    sample_counts,
-    zero_probability,
-    zero_state,
-)
-from .svm import (
-    BinaryModel,
-    SvmConfig,
-    SvmModel,
-    decision_value,
-    dual_objective,
-    load_model,
-    predict,
-    save_model,
-    solve_binary_smo,
-    train_ovo,
-)
+from .evaluate import boundary_grid, make_report
+from .feature_map import FeatureMapConfig
+from .kernels import FIDELITY_EXACT, FIDELITY_SAMPLED, RBF, KernelConfig
+from .svm import SvmConfig, load_model, predict, save_model, train_ovo
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryModel",
-    "BoundaryGrid",
-    "Circuit",
     "Dataset",
-    "EvalReport",
+    "ExperimentConfig",
     "FIDELITY_EXACT",
     "FIDELITY_SAMPLED",
     "FeatureMapConfig",
-    "Gate",
     "KernelConfig",
-    "KernelMatrix",
     "LABELS",
     "PRESETS",
-    "PhaseSet",
-    "QuantumState",
     "RBF",
     "ScalerParams",
     "SignalSample",
     "SvmConfig",
-    "SvmModel",
-    "accuracy",
-    "apply_gate",
     "apply_scaler",
     "boundary_grid",
-    "build_circuit",
-    "cnot",
-    "compute_phases",
-    "confusion",
-    "decision_value",
-    "default_gamma",
-    "dual_objective",
-    "fidelity_exact",
-    "fidelity_sampled",
     "fit_scaler",
     "generate_synthetic",
-    "gram_rectangular",
-    "gram_symmetric",
-    "hadamard",
-    "inner_product",
-    "inverse_circuit",
     "load_csv",
     "load_model",
     "make_report",
-    "map_to_state",
-    "phase",
     "predict",
-    "rbf",
-    "run_circuit",
-    "sample_counts",
+    "run_experiment",
     "save_model",
-    "solve_binary_smo",
     "train_ovo",
     "write_csv",
-    "zero_probability",
-    "zero_state",
 ]
+
+
+def __getattr__(name):
+    # The experiment API is imported on first use: importing gnss_qsvm.cli
+    # here would run it twice under ``python -m gnss_qsvm.cli``.
+    if name in ("ExperimentConfig", "run_experiment"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .data import (
     Dataset,
     PRESETS,
     LABELS,
+    ScalerParams,
     apply_scaler,
     fit_scaler,
     generate_synthetic,
@@ -34,9 +35,11 @@ from .evaluate import (
 )
 from .feature_map import FeatureMapConfig
 from .kernels import FIDELITY_EXACT, FIDELITY_SAMPLED, RBF, KernelConfig
-from .svm import SvmConfig, load_model, predict, save_model, train_ovo
+from .svm import SvmConfig, SvmModel, load_model, predict, save_model, train_ovo
 
 OUTPUT_DIR_ENV = "GNSS_QSVM_OUTPUT_DIR"
+MODELS = ("qsvm", "svm")
+KERNELS = ("exact", "sampled")
 
 
 @dataclass
@@ -61,22 +64,11 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         # outdir is omitted so reports are location-independent.
-        return {
-            "train": list(self.train_sources),
-            "test": self.test_source,
-            "model": self.model,
-            "kernel": self.kernel,
-            "shots": self.shots,
-            "seed": self.seed,
-            "scale_lo": self.scale_lo,
-            "scale_hi": self.scale_hi,
-            "raw": self.raw,
-            "C": self.C,
-            "tolerance": self.tolerance,
-            "repetitions": self.repetitions,
-            "gamma": self.gamma,
-            "grid_resolution": self.grid_resolution,
-        }
+        doc = asdict(self)
+        del doc["outdir"]
+        doc["train"] = doc.pop("train_sources")
+        doc["test"] = doc.pop("test_source")
+        return doc
 
 
 def _load_source(source: str, seed: int) -> Dataset:
@@ -104,31 +96,42 @@ def _kernel_config(config: ExperimentConfig) -> KernelConfig:
     )
 
 
+def _features(dataset: Dataset, scaler: ScalerParams | None):
+    return dataset.features() if scaler is None else apply_scaler(scaler, dataset)
+
+
+def fit_pipeline(config: ExperimentConfig) -> tuple[SvmModel, ScalerParams | None]:
+    """Load the training sources, fit the scaler on them (none with
+    ``raw``) and train the one-vs-one model on the classes present, in
+    label order. Returns (model, scaler or None)."""
+    if not config.train_sources:
+        raise ValueError("at least one training source is required")
+    if config.model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {config.model!r}")
+    if config.kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
+
+    train = _load_many(config.train_sources, config.seed)
+    scaler = None if config.raw else fit_scaler(train, config.scale_lo, config.scale_hi)
+    classes = [c for c in LABELS if c in set(train.labels())]
+    svm_cfg = SvmConfig(C=config.C, kkt_tolerance=config.tolerance)
+    model = train_ovo(_features(train, scaler), train.labels(), svm_cfg,
+                      _kernel_config(config), classes)
+    return model, scaler
+
+
 def run_experiment(config: ExperimentConfig):
     """Full pipeline: load -> fit scaler on train -> transform -> train ->
     predict -> write report.json, confusion.csv, model.json and, when a grid
     resolution is set, grid.csv. Returns (EvalReport, artifact path dict).
     """
-    if not config.train_sources:
-        raise ValueError("at least one training source is required")
     if config.raw and config.grid_resolution is not None:
         raise ValueError("boundary grids need scaled features; drop --raw")
 
-    train = _load_many(config.train_sources, config.seed)
     test = _load_source(config.test_source, config.seed)
-
-    scaler = None
-    if config.raw:
-        x_train, x_test = train.features(), test.features()
-    else:
-        scaler = fit_scaler(train, config.scale_lo, config.scale_hi)
-        x_train, x_test = apply_scaler(scaler, train), apply_scaler(scaler, test)
-
-    classes = [c for c in LABELS if c in set(train.labels())]
-    svm_cfg = SvmConfig(C=config.C, kkt_tolerance=config.tolerance)
-    model = train_ovo(x_train, train.labels(), svm_cfg, _kernel_config(config), classes)
-    predictions = predict(model, x_test)
-    report = make_report(predictions, test.labels(), classes)
+    model, scaler = fit_pipeline(config)
+    predictions = predict(model, _features(test, scaler))
+    report = make_report(predictions, test.labels(), model.classes)
     warnings_list = [
         f"{bm.label_pair[0]} vs {bm.label_pair[1]}"
         for bm in model.binary_models
@@ -163,9 +166,9 @@ def _add_data_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=("qsvm", "svm"), default="qsvm",
+    parser.add_argument("--model", choices=MODELS, default="qsvm",
                         help="qsvm = fidelity quantum kernel, svm = RBF baseline")
-    parser.add_argument("--kernel", choices=("exact", "sampled"), default="exact",
+    parser.add_argument("--kernel", choices=KERNELS, default="exact",
                         help="fidelity evaluation mode for qsvm")
     parser.add_argument("--shots", type=int, default=1000,
                         help="shots per kernel entry in sampled mode")
@@ -212,27 +215,16 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _config_from_args(args, args.train, test_source="")
-    train = _load_many(config.train_sources, config.seed)
-    scaler = None
-    if config.raw:
-        x_train = train.features()
-    else:
-        scaler = fit_scaler(train, config.scale_lo, config.scale_hi)
-        x_train = apply_scaler(scaler, train)
-    classes = [c for c in LABELS if c in set(train.labels())]
-    svm_cfg = SvmConfig(C=config.C, kkt_tolerance=config.tolerance)
-    model = train_ovo(x_train, train.labels(), svm_cfg, _kernel_config(config), classes)
+    model, scaler = fit_pipeline(_config_from_args(args, args.train, test_source=""))
     save_model(model, args.out, scaler)
-    print(f"trained on {len(train)} samples; model saved to {args.out}")
+    print(f"trained on {len(model.training_features)} samples; model saved to {args.out}")
     return 0
 
 
 def _predict_dataset(model_path, data_path):
     model, scaler = load_model(model_path)
     dataset = load_csv(data_path)
-    x = dataset.features() if scaler is None else apply_scaler(scaler, dataset)
-    return model, dataset, predict(model, x)
+    return model, dataset, predict(model, _features(dataset, scaler))
 
 
 def _cmd_predict(args) -> int:

@@ -21,5 +21,9 @@ class InvalidLabelsError(ValueError):
     """Label set is unusable for training (single class, unknown or missing labels)."""
 
 
+class ModelFormatError(ValueError):
+    """A saved model document is of an unknown format or inconsistent."""
+
+
 class ConvergenceWarning(UserWarning):
     """Dual solver hit its sweep cap before meeting the KKT tolerance."""

@@ -54,16 +54,17 @@ class KernelMatrix:
     symmetric: bool
 
 
-def _as_features(x, name: str) -> np.ndarray:
+def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-D feature vector, got shape {x.shape}")
-    return x
-
-
-def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
+    y = np.asarray(y, dtype=float)
+    for name, v in (("x", x), ("y", y)):
+        if v.ndim != 1:
+            raise DimensionError(f"{name} must be a 1-D feature vector, got shape {v.shape}")
     if x.shape != y.shape:
         raise DimensionError(f"feature lengths differ: {x.shape[0]} vs {y.shape[0]}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("feature values must be finite")
+    return x, y
 
 
 def _uncompute_state(x, y, fm: FeatureMapConfig):
@@ -74,9 +75,7 @@ def _uncompute_state(x, y, fm: FeatureMapConfig):
 
 def fidelity_exact(x, y, fm: FeatureMapConfig) -> float:
     """|<0...0| U(y)^-1 U(x) |0...0>|^2 via the compute-uncompute circuit."""
-    x = _as_features(x, "x")
-    y = _as_features(y, "y")
-    _check_same_length(x, y)
+    x, y = _vector_pair(x, y)
     p = zero_probability(_uncompute_state(x, y, fm))
     return min(max(p, 0.0), 1.0)
 
@@ -86,9 +85,7 @@ def fidelity_sampled(x, y, fm: FeatureMapConfig, shots: int, seed: int) -> float
     sampling the compute-uncompute circuit."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    x = _as_features(x, "x")
-    y = _as_features(y, "y")
-    _check_same_length(x, y)
+    x, y = _vector_pair(x, y)
     counts = sample_counts(_uncompute_state(x, y, fm), shots, seed)
     zeros = counts.get("0" * fm.num_features, 0)
     return zeros / shots
@@ -98,9 +95,7 @@ def rbf(x, y, gamma: float) -> float:
     """exp(-gamma * ||x - y||^2)."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    x = _as_features(x, "x")
-    y = _as_features(y, "y")
-    _check_same_length(x, y)
+    x, y = _vector_pair(x, y)
     return float(np.exp(-gamma * np.sum((x - y) ** 2)))
 
 
@@ -109,9 +104,7 @@ def default_gamma(X) -> float:
 
     Mirrors the untuned "scale" default of common SVM toolkits.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.size == 0:
-        raise ValueError(f"X must be a non-empty 2-D feature matrix, got shape {X.shape}")
+    X = check_features(X)
     var = float(X.var())
     if var <= 0.0:
         raise DegenerateDataError("feature matrix is constant; gamma undefined")
@@ -125,87 +118,66 @@ def pair_seed(master_seed: int, i: int, j: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _feature_matrix(X, name: str) -> np.ndarray:
+def check_features(X, cfg: KernelConfig | None = None, name: str = "X",
+                   width: int | None = None) -> np.ndarray:
+    """The input check of every public matrix entry point: X must be a
+    non-empty, finite 2-D matrix. With ``cfg``, its width must match the
+    feature map (fidelity modes) and RBF needs a resolved gamma; ``width``
+    pins the width when no feature map does."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {X.shape}")
-    return X
-
-
-def _check_feature_dim(cfg: KernelConfig, d: int) -> None:
-    if cfg.mode in (FIDELITY_EXACT, FIDELITY_SAMPLED):
-        if cfg.feature_map.num_features != d:
-            raise DimensionError(
-                f"feature map encodes {cfg.feature_map.num_features} feature(s) "
-                f"but data has {d}"
-            )
-    elif cfg.gamma is None:
+    if cfg is not None and cfg.mode != RBF:
+        width = cfg.feature_map.num_features
+    if width is not None and X.shape[1] != width:
+        raise DimensionError(f"{name} has {X.shape[1]} feature(s), expected {width}")
+    if cfg is not None and cfg.mode == RBF and cfg.gamma is None:
         raise ValueError("rbf mode requires gamma; resolve it via default_gamma")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature values must be finite")
+    return X
 
 
 def _statevectors(X: np.ndarray, fm: FeatureMapConfig) -> np.ndarray:
     return np.array([map_to_state(x, fm).amplitudes for x in X])
 
 
-def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
+def _block(A: np.ndarray, B: np.ndarray, cfg: KernelConfig, upper: bool = False) -> np.ndarray:
+    """values[i][j] = k(A[i], B[j]). ``upper`` marks the symmetric case
+    (B is A): the exact mode then builds the states once, and the sampled
+    mode spends shots only on j > i, leaving the rest zero."""
+    if cfg.mode == FIDELITY_SAMPLED:
+        K = np.zeros((A.shape[0], B.shape[0]))
+        for i in range(A.shape[0]):
+            for j in range(i + 1 if upper else 0, B.shape[0]):
+                K[i, j] = fidelity_sampled(
+                    A[i], B[j], cfg.feature_map, cfg.shots, pair_seed(cfg.seed, i, j)
+                )
+        return K
+    if cfg.mode == FIDELITY_EXACT:
+        sv_a = _statevectors(A, cfg.feature_map)
+        sv_b = sv_a if upper else _statevectors(B, cfg.feature_map)
+        return np.clip(np.abs(sv_a.conj() @ sv_b.T) ** 2, 0.0, 1.0)
+    sq_distances = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
+    return np.exp(-cfg.gamma * sq_distances)
 
 
 def gram_symmetric(X, cfg: KernelConfig) -> KernelMatrix:
     """Training Gram matrix: upper triangle computed once per unordered
     pair, mirrored to the lower triangle, diagonal pinned to exactly 1.0
     (no shots spent on it)."""
-    X = _feature_matrix(X, "X")
-    n, d = X.shape
-    _check_feature_dim(cfg, d)
-
-    if cfg.mode == FIDELITY_SAMPLED:
-        K = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                K[i, j] = fidelity_sampled(
-                    X[i], X[j], cfg.feature_map, cfg.shots,
-                    pair_seed(cfg.seed, i, j),
-                )
-    else:
-        if cfg.mode == FIDELITY_EXACT:
-            sv = _statevectors(X, cfg.feature_map)
-            full = np.clip(np.abs(sv.conj() @ sv.T) ** 2, 0.0, 1.0)
-        else:
-            full = np.exp(-cfg.gamma * _sq_distances(X, X))
-        K = np.triu(full, k=1)
-
+    X = check_features(X, cfg)
+    K = np.triu(_block(X, X, cfg, upper=True), k=1)
     K = K + K.T
     np.fill_diagonal(K, 1.0)
-    return KernelMatrix(rows=n, cols=n, values=K, symmetric=True)
+    return KernelMatrix(rows=K.shape[0], cols=K.shape[1], values=K, symmetric=True)
 
 
 def gram_rectangular(X_test, X_train, cfg: KernelConfig) -> KernelMatrix:
     """Prediction-time block: values[i][j] = k(X_test[i], X_train[j])."""
-    X_test = _feature_matrix(X_test, "X_test")
-    X_train = _feature_matrix(X_train, "X_train")
-    if X_test.shape[1] != X_train.shape[1]:
-        raise DimensionError(
-            f"feature dimensions differ: {X_test.shape[1]} vs {X_train.shape[1]}"
-        )
-    _check_feature_dim(cfg, X_train.shape[1])
-
-    if cfg.mode == FIDELITY_SAMPLED:
-        m, n = X_test.shape[0], X_train.shape[0]
-        K = np.zeros((m, n))
-        for i in range(m):
-            for j in range(n):
-                K[i, j] = fidelity_sampled(
-                    X_test[i], X_train[j], cfg.feature_map, cfg.shots,
-                    pair_seed(cfg.seed, i, j),
-                )
-    elif cfg.mode == FIDELITY_EXACT:
-        sv_test = _statevectors(X_test, cfg.feature_map)
-        sv_train = _statevectors(X_train, cfg.feature_map)
-        K = np.clip(np.abs(sv_test.conj() @ sv_train.T) ** 2, 0.0, 1.0)
-    else:
-        K = np.exp(-cfg.gamma * _sq_distances(X_test, X_train))
-
+    X_train = check_features(X_train, cfg, "X_train")
+    X_test = check_features(X_test, cfg, "X_test", width=X_train.shape[1])
+    K = _block(X_test, X_train, cfg)
     return KernelMatrix(rows=K.shape[0], cols=K.shape[1], values=K, symmetric=False)
 
 

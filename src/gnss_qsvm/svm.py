@@ -21,12 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ScalerParams
-from .errors import ConvergenceWarning, DimensionError, InvalidLabelsError
+from .errors import ConvergenceWarning, DimensionError, InvalidLabelsError, ModelFormatError
 from .feature_map import FeatureMapConfig
 from .kernels import (
     RBF,
     KernelConfig,
     KernelMatrix,
+    check_features,
     default_gamma,
     gram_rectangular,
     gram_symmetric,
@@ -257,9 +258,7 @@ def decision_value(model: BinaryModel, kernel_row) -> float:
 def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> SvmModel:
     """Train one binary model per unordered class pair on the pair's
     sub-block of the full training Gram matrix."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DimensionError(f"X must be a non-empty 2-D matrix, got shape {X.shape}")
+    X = check_features(X)
     labels = list(labels)
     if len(labels) != X.shape[0]:
         raise DimensionError(
@@ -290,15 +289,9 @@ def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> Sv
             a, b = classes[ai], classes[bi]
             idx = np.flatnonzero((label_arr == a) | (label_arr == b))
             y = np.where(label_arr[idx] == a, 1.0, -1.0)
-            sub = KernelMatrix(
-                rows=idx.size,
-                cols=idx.size,
-                values=gram.values[np.ix_(idx, idx)],
-                symmetric=True,
-            )
-            models.append(
-                solve_binary_smo(sub, y, cfg, label_pair=(a, b), training_indices=idx)
-            )
+            models.append(solve_binary_smo(
+                gram.values[np.ix_(idx, idx)], y, cfg, label_pair=(a, b), training_indices=idx
+            ))
     return SvmModel(
         classes=classes,
         binary_models=models,
@@ -311,23 +304,12 @@ def predict(model: SvmModel, X) -> list:
     """One-vs-one vote; positive decision values go to the pair's first
     class. Vote ties break on the larger sum of winning |decision| margins,
     then on the lower class index."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionError(f"X must be a 2-D matrix, got shape {X.shape}")
-    if X.shape[1] != model.training_features.shape[1]:
-        raise DimensionError(
-            f"feature dimension {X.shape[1]} does not match training "
-            f"dimension {model.training_features.shape[1]}"
-        )
-    kernel_block = gram_rectangular(X, model.training_features, model.kernel_config)
-    m = X.shape[0]
-    n_classes = len(model.classes)
+    kernel_block = gram_rectangular(X, model.training_features, model.kernel_config).values
     class_index = {c: i for i, c in enumerate(model.classes)}
-    votes = np.zeros((m, n_classes), dtype=int)
-    margins = np.zeros((m, n_classes))
+    votes = np.zeros((kernel_block.shape[0], len(model.classes)), dtype=int)
+    margins = np.zeros(votes.shape)
     for bm in model.binary_models:
-        rows = kernel_block.values[:, bm.training_indices]
-        d = rows @ (bm.alpha * bm.y) + bm.bias
+        d = kernel_block[:, bm.training_indices] @ (bm.alpha * bm.y) + bm.bias
         ai, bi = class_index[bm.label_pair[0]], class_index[bm.label_pair[1]]
         win_a = d > 0
         votes[win_a, ai] += 1
@@ -335,12 +317,10 @@ def predict(model: SvmModel, X) -> list:
         margins[win_a, ai] += np.abs(d[win_a])
         margins[~win_a, bi] += np.abs(d[~win_a])
 
-    predictions = []
-    for r in range(m):
-        tied = np.flatnonzero(votes[r] == votes[r].max())
-        winner = tied[0] if tied.size == 1 else tied[int(np.argmax(margins[r, tied]))]
-        predictions.append(model.classes[winner])
-    return predictions
+    # Among the classes with the most votes, the largest margin sum wins;
+    # argmax takes the first of equal maxima, so the lowest index breaks ties.
+    tied = np.where(votes == votes.max(axis=1, keepdims=True), margins, -np.inf)
+    return [model.classes[w] for w in np.argmax(tied, axis=1)]
 
 
 def _feature_map_to_dict(fm: FeatureMapConfig) -> dict:
@@ -386,9 +366,25 @@ def model_to_dict(model: SvmModel, scaler: ScalerParams | None = None) -> dict:
     return doc
 
 
+def _check_binary_model(bm: BinaryModel, classes: list, n_train: int) -> None:
+    pair = f"binary model {bm.label_pair!r}"
+    if len(bm.label_pair) != 2 or any(c not in classes for c in bm.label_pair):
+        raise ModelFormatError(f"{pair}: label pair is not two of the classes {classes}")
+    if bm.alpha.ndim != 1 or not bm.alpha.shape == bm.y.shape == bm.training_indices.shape:
+        raise ModelFormatError(
+            f"{pair}: alpha, y and training_indices differ in shape: "
+            f"{bm.alpha.shape}, {bm.y.shape}, {bm.training_indices.shape}"
+        )
+    idx = bm.training_indices
+    if idx.size and (idx.min() < 0 or idx.max() >= n_train):
+        raise ModelFormatError(f"{pair}: training indices must lie in [0, {n_train})")
+
+
 def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
+    """Rebuild a model from its JSON document, rejecting inconsistent ones
+    with ModelFormatError before they can fail inside ``predict``."""
     if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unrecognized model format {doc.get('format')!r}")
+        raise ModelFormatError(f"unrecognized model format {doc.get('format')!r}")
     kernel = doc["kernel"]
     fm = FeatureMapConfig(**kernel["feature_map"])
     kcfg = KernelConfig(
@@ -415,6 +411,8 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
         kernel_config=kcfg,
         training_features=np.array(doc["training_features"], dtype=float),
     )
+    for bm in binary_models:
+        _check_binary_model(bm, model.classes, model.training_features.shape[0])
     scaler = None
     if doc["scaler"] is not None:
         s = doc["scaler"]

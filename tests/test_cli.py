@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from gnss_qsvm.cli import ExperimentConfig, main, run_experiment
+from gnss_qsvm.cli import ExperimentConfig, fit_pipeline, main, run_experiment
 from gnss_qsvm.data import load_csv
-from gnss_qsvm.svm import load_model
+from gnss_qsvm.svm import load_model, save_model
 
 
 def run_cli(*argv):
@@ -166,6 +166,28 @@ class TestRunExperimentApi:
         )
         with pytest.raises(ValueError):
             run_experiment(config)
+
+    @pytest.mark.parametrize("field,value", [("model", "SVM"), ("kernel", "exakt")])
+    def test_unknown_model_or_kernel_rejected(self, tmp_path, field, value):
+        config = ExperimentConfig(
+            train_sources=["T1_SHAPE"], test_source="T1_SHAPE",
+            outdir=str(tmp_path / "out"), **{field: value},
+        )
+        with pytest.raises(ValueError, match=field):
+            run_experiment(config)
+        with pytest.raises(ValueError, match=field):
+            fit_pipeline(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_pipeline_matches_train_command(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        run_cli("train", "--train", "T1_SHAPE", "--seed", 3, "--model", "svm",
+                "--out", model_path)
+        config = ExperimentConfig(train_sources=["T1_SHAPE"], test_source="",
+                                  model="svm", seed=3)
+        model, scaler = fit_pipeline(config)
+        save_model(model, tmp_path / "direct.json", scaler)
+        assert (tmp_path / "direct.json").read_bytes() == model_path.read_bytes()
 
 
 def test_module_entry_point(tmp_path):

@@ -257,3 +257,21 @@ def test_csv_export_round_trips_at_17_digits(tmp_path):
         [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()]
     )
     assert np.array_equal(loaded, km.values)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda x, y: fidelity_exact(x, y, FM2),
+    lambda x, y: fidelity_sampled(x, y, FM2, 16, 0),
+    lambda x, y: rbf(x, y, 1.0),
+], ids=["exact", "sampled", "rbf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pointwise_kernels_reject_non_finite(kernel, bad):
+    with pytest.raises(ValueError, match="finite"):
+        kernel([0.5, bad], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        kernel([0.5, 0.5], [bad, 0.5])
+
+
+def test_default_gamma_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        default_gamma([[0.0, 1.0], [np.nan, 0.5]])

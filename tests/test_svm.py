@@ -1,11 +1,24 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from gnss_qsvm.data import apply_scaler, fit_scaler, generate_synthetic
-from gnss_qsvm.errors import ConvergenceWarning, DimensionError, InvalidLabelsError
-from gnss_qsvm.kernels import FIDELITY_EXACT, RBF, KernelConfig, KernelMatrix, gram_symmetric
+from gnss_qsvm.errors import (
+    ConvergenceWarning,
+    DimensionError,
+    InvalidLabelsError,
+    ModelFormatError,
+)
+from gnss_qsvm.kernels import (
+    FIDELITY_EXACT,
+    FIDELITY_SAMPLED,
+    RBF,
+    KernelConfig,
+    KernelMatrix,
+    gram_symmetric,
+)
 from gnss_qsvm.svm import (
     BinaryModel,
     SvmConfig,
@@ -290,3 +303,92 @@ def _stub_model(biases: dict, classes=None) -> SvmModel:
         kernel_config=RBF_CFG,
         training_features=train,
     )
+
+
+@pytest.mark.parametrize("mode", [FIDELITY_EXACT, FIDELITY_SAMPLED, RBF])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(mode, bad):
+    kcfg = KernelConfig(mode=mode, shots=16)
+    X_bad = TOY_X.copy()
+    X_bad[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        train_ovo(X_bad, TOY_LABELS, SvmConfig(), kcfg)
+    model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), kcfg)
+    with pytest.raises(ValueError, match="finite"):
+        predict(model, [[0.5, bad]])
+
+
+def _reference_vote(votes, margins):
+    # The per-row tie-break loop the vectorized vote replaced.
+    winners = []
+    for r in range(votes.shape[0]):
+        tied = np.flatnonzero(votes[r] == votes[r].max())
+        winners.append(tied[0] if tied.size == 1 else tied[int(np.argmax(margins[r, tied]))])
+    return winners
+
+
+def test_vectorized_vote_matches_per_row_loop():
+    # Training points 10 apart under an RBF kernel with gamma 1: predicting
+    # them gives an identity kernel block to double precision, so each binary
+    # model's decision on row i is exactly its coefficient i. Coefficients
+    # of +-1 and +-2 over four classes give 2- and 3-way vote ties, many of
+    # them with tied margin sums as well.
+    classes = ["A", "B", "C", "D"]
+    m = 400
+    rng = np.random.default_rng(0)
+    points = np.column_stack([10.0 * np.arange(m), np.zeros(m)])
+    decisions = {pair: rng.choice([-2.0, -1.0, 1.0, 2.0], size=m)
+                 for pair in itertools.combinations(classes, 2)}
+    model = SvmModel(
+        classes=classes,
+        binary_models=[
+            BinaryModel(label_pair=pair, alpha=d, y=np.ones(m), bias=0.0,
+                        training_indices=np.arange(m))
+            for pair, d in decisions.items()
+        ],
+        kernel_config=RBF_CFG,
+        training_features=points,
+    )
+
+    votes = np.zeros((m, len(classes)), dtype=int)
+    margins = np.zeros((m, len(classes)))
+    for (a, b), d in decisions.items():
+        for r in range(m):
+            winner = classes.index(a if d[r] > 0 else b)
+            votes[r, winner] += 1
+            margins[r, winner] += abs(d[r])
+    top = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1)
+    assert {2, 3} <= set(top.tolist())
+
+    expected = [classes[w] for w in _reference_vote(votes, margins)]
+    assert predict(model, points) == expected
+
+
+def _corrupt(doc, field, value, index=0):
+    doc["binary_models"][index][field] = value
+    return doc
+
+
+CORRUPTIONS = {
+    "unknown format": lambda doc: {**doc, "format": "something-else"},
+    "short alpha": lambda doc: _corrupt(doc, "alpha", doc["binary_models"][0]["alpha"][:-1]),
+    "short y": lambda doc: _corrupt(doc, "y", doc["binary_models"][0]["y"][1:]),
+    "short indices": lambda doc: _corrupt(
+        doc, "training_indices", doc["binary_models"][0]["training_indices"][:-1]),
+    "index past the end": lambda doc: _corrupt(
+        doc, "training_indices", [0, 1, 2, len(doc["training_features"])]),
+    "negative index": lambda doc: _corrupt(doc, "training_indices", [-1, 1, 2, 3]),
+    "label pair outside classes": lambda doc: _corrupt(doc, "label_pair", ["A", "Z"]),
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_corrupted_model_rejected_at_load(tmp_path, corruption):
+    model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG)
+    doc = CORRUPTIONS[corruption](json.loads(json.dumps(model_to_dict(model))))
+    with pytest.raises(ModelFormatError):
+        model_from_dict(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
