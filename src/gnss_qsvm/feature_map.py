@@ -1,9 +1,11 @@
-"""Second-order (ZZ-interaction) feature map circuits.
+"""Second-order (ZZ-interaction) feature map.
 
 A feature vector x is encoded by repeating, per repetition: a Hadamard
 layer, single-qubit phases 2*x_i, and for each entangled pair (i, j) the
 block CX(i->j), PHASE(2*(pi - x_i)*(pi - x_j)) on j, CX(i->j). One qubit
-per feature.
+per feature. The kernels take their states from the batched
+:func:`statevectors`; :func:`map_to_state` runs the same gates on the ``sim``
+gate simulator, one sample at a time, as the reference for the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .sim import Circuit, QuantumState, cnot, hadamard, phase, run_circuit, zero_state
+from .sim import (_SQRT1_2, MAX_QUBITS, Circuit, QuantumState, cnot, hadamard, phase,
+                  run_circuit, zero_state)
 
 ENTANGLEMENTS = ("full", "linear")
 
@@ -26,8 +29,10 @@ class FeatureMapConfig:
     entanglement: str = "full"
 
     def __post_init__(self):
-        if self.num_features < 1:
-            raise ValueError(f"num_features must be >= 1, got {self.num_features}")
+        if not 1 <= self.num_features <= MAX_QUBITS:
+            raise ValueError(
+                f"num_features must be in [1, {MAX_QUBITS}], got {self.num_features}"
+            )
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.entanglement not in ENTANGLEMENTS:
@@ -93,3 +98,33 @@ def build_circuit(x, config: FeatureMapConfig) -> Circuit:
 def map_to_state(x, config: FeatureMapConfig) -> QuantumState:
     """Run the feature map circuit on |0...0>."""
     return run_circuit(build_circuit(x, config), zero_state(config.num_features))
+
+
+def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
+    """Feature-map states of every row of ``X``, shape (m, 2**n): the gates
+    of :func:`build_circuit` applied to all rows at once with the simulator's
+    arithmetic, so that for two or more features each row equals
+    :func:`map_to_state` bit for bit."""
+    X = np.asarray(X, dtype=float)
+    n = config.num_features
+    if X.ndim != 2 or X.shape[1] != n:
+        raise DimensionError(f"expected an (m, {n}) feature matrix, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature values must be finite")
+    bit = [(np.arange(1 << n) >> q) & 1 == 1 for q in range(n)]
+    # PHASE multiplies the amplitudes whose target bit is set; a
+    # CX . PHASE . CX block multiplies those where z_i != z_j.
+    factors = [(bit[q], np.exp(1j * (2.0 * X[:, q]))) for q in range(n)] + [
+        (bit[i] != bit[j], np.exp(1j * (2.0 * ((math.pi - X[:, i]) * (math.pi - X[:, j])))))
+        for i, j in config.pairs()
+    ]
+    states = np.zeros((X.shape[0], 1 << n), dtype=complex)
+    states[:, 0] = 1.0
+    for _ in range(config.repetitions):
+        for q in range(n):
+            a, b = states[:, ~bit[q]], states[:, bit[q]]
+            states[:, ~bit[q]] = (a + b) * _SQRT1_2
+            states[:, bit[q]] = (a - b) * _SQRT1_2
+        for mask, factor in factors:
+            states[:, mask] *= factor[:, None]
+    return states

@@ -1,9 +1,14 @@
 """Kernel evaluations and Gram-matrix assembly.
 
-Three modes: exact fidelity (statevector), shot-sampled fidelity via the
-compute-uncompute circuit, and a classical RBF baseline. Sampled entries
-derive their seed from (master seed, row index, column index), so matrices
-are reproducible regardless of evaluation order.
+Three modes: exact fidelity, shot-sampled fidelity, and a classical RBF
+baseline. Both fidelity modes take their states from the batched engine
+``feature_map.statevectors`` and form the exact overlaps |<psi(a)|psi(b)>|^2
+as one matrix product. A sampled entry is the fraction of all-zeros outcomes
+in ``shots`` runs of the compute-uncompute circuit, drawn as one binomial on
+the exact overlap: numpy's multinomial over all outcomes draws that count
+first, as exactly this binomial. Sampled entries derive their seed from
+(master seed, row index, column index), so matrices are reproducible
+regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -13,15 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, DimensionError
-from .feature_map import FeatureMapConfig, build_circuit, map_to_state
-from .sim import (
-    inverse_circuit,
-    mask_seed,
-    run_circuit,
-    sample_counts,
-    zero_probability,
-    zero_state,
-)
+from .feature_map import FeatureMapConfig, statevectors
+from .sim import mask_seed
 
 FIDELITY_EXACT = "fidelity_exact"
 FIDELITY_SAMPLED = "fidelity_sampled"
@@ -67,17 +65,17 @@ def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _uncompute_state(x, y, fm: FeatureMapConfig):
-    """State U(y)^-1 U(x) |0...0>; its all-zeros probability is the fidelity."""
-    state = run_circuit(build_circuit(x, fm), zero_state(fm.num_features))
-    return run_circuit(inverse_circuit(build_circuit(y, fm)), state)
+def _shot_estimate(p: float, shots: int, seed: int) -> float:
+    """Fraction of all-zeros outcomes in ``shots`` runs whose all-zeros
+    probability is ``p``."""
+    return int(np.random.default_rng(mask_seed(seed)).binomial(shots, p)) / shots
 
 
 def fidelity_exact(x, y, fm: FeatureMapConfig) -> float:
-    """|<0...0| U(y)^-1 U(x) |0...0>|^2 via the compute-uncompute circuit."""
+    """|<psi(y)|psi(x)>|^2, the all-zeros probability of the
+    compute-uncompute circuit U(y)^-1 U(x) |0...0>."""
     x, y = _vector_pair(x, y)
-    p = zero_probability(_uncompute_state(x, y, fm))
-    return min(max(p, 0.0), 1.0)
+    return float(_block(x[None], y[None], KernelConfig(FIDELITY_EXACT, fm))[0, 0])
 
 
 def fidelity_sampled(x, y, fm: FeatureMapConfig, shots: int, seed: int) -> float:
@@ -85,10 +83,7 @@ def fidelity_sampled(x, y, fm: FeatureMapConfig, shots: int, seed: int) -> float
     sampling the compute-uncompute circuit."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    x, y = _vector_pair(x, y)
-    counts = sample_counts(_uncompute_state(x, y, fm), shots, seed)
-    zeros = counts.get("0" * fm.num_features, 0)
-    return zeros / shots
+    return _shot_estimate(fidelity_exact(x, y, fm), shots, seed)
 
 
 def rbf(x, y, gamma: float) -> float:
@@ -138,28 +133,21 @@ def check_features(X, cfg: KernelConfig | None = None, name: str = "X",
     return X
 
 
-def _statevectors(X: np.ndarray, fm: FeatureMapConfig) -> np.ndarray:
-    return np.array([map_to_state(x, fm).amplitudes for x in X])
-
-
 def _block(A: np.ndarray, B: np.ndarray, cfg: KernelConfig, upper: bool = False) -> np.ndarray:
     """values[i][j] = k(A[i], B[j]). ``upper`` marks the symmetric case
-    (B is A): the exact mode then builds the states once, and the sampled
-    mode spends shots only on j > i, leaving the rest zero."""
+    (B is A): the fidelity modes then build the states once, and the sampled
+    mode spends shots only on j > i, leaving the rest exact."""
+    if cfg.mode == RBF:
+        sq_distances = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
+        return np.exp(-cfg.gamma * sq_distances)
+    sv_a = statevectors(A, cfg.feature_map)
+    sv_b = sv_a if upper else statevectors(B, cfg.feature_map)
+    K = np.clip(np.abs(sv_a.conj() @ sv_b.T) ** 2, 0.0, 1.0)
     if cfg.mode == FIDELITY_SAMPLED:
-        K = np.zeros((A.shape[0], B.shape[0]))
-        for i in range(A.shape[0]):
-            for j in range(i + 1 if upper else 0, B.shape[0]):
-                K[i, j] = fidelity_sampled(
-                    A[i], B[j], cfg.feature_map, cfg.shots, pair_seed(cfg.seed, i, j)
-                )
-        return K
-    if cfg.mode == FIDELITY_EXACT:
-        sv_a = _statevectors(A, cfg.feature_map)
-        sv_b = sv_a if upper else _statevectors(B, cfg.feature_map)
-        return np.clip(np.abs(sv_a.conj() @ sv_b.T) ** 2, 0.0, 1.0)
-    sq_distances = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
-    return np.exp(-cfg.gamma * sq_distances)
+        for i in range(K.shape[0]):
+            for j in range(i + 1 if upper else 0, K.shape[1]):
+                K[i, j] = _shot_estimate(K[i, j], cfg.shots, pair_seed(cfg.seed, i, j))
+    return K
 
 
 def gram_symmetric(X, cfg: KernelConfig) -> KernelMatrix:

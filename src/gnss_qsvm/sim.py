@@ -2,12 +2,15 @@
 
 Basis convention is little-endian: qubit 0 is the least-significant bit of
 the amplitude index, so for two qubits |01> (qubit 0 set, qubit 1 clear)
-sits at index 1. Bitstrings returned by :func:`sample_counts` follow the
-same convention with qubit ``n-1`` leftmost.
+sits at index 1.
 
-All randomness comes from numpy's PCG64 generator (``default_rng``) seeded
-through ``SeedSequence``, so runs are reproducible for a fixed seed within
-this implementation.
+The kernels do not run this simulator: they take their states from the
+batched engine ``feature_map.statevectors``, which applies the same gate
+arithmetic to many samples at once, and draw shot noise as a binomial on the
+exact overlap. The simulator stays as the gate-by-gate reference that the
+tests check that engine against. :func:`mask_seed` maps any seed onto the
+range of numpy's ``SeedSequence``, which seeds every PCG64 generator
+(``default_rng``) of the package.
 """
 
 from __future__ import annotations
@@ -177,18 +180,6 @@ def run_circuit(circuit: Circuit, initial: QuantumState) -> QuantumState:
     return QuantumState(circuit.num_qubits, amps)
 
 
-def inverse_circuit(circuit: Circuit) -> Circuit:
-    """Exact inverse: gates reversed, PHASE angles negated (H and CX are
-    self-inverse)."""
-    inverted = []
-    for gate in reversed(circuit.gates):
-        if gate.kind == "PHASE":
-            inverted.append(phase(-gate.theta, gate.target))
-        else:
-            inverted.append(gate)
-    return Circuit(circuit.num_qubits, inverted)
-
-
 def inner_product(a: QuantumState, b: QuantumState) -> complex:
     """<a|b>, conjugate-linear in ``a``."""
     if a.num_qubits != b.num_qubits:
@@ -196,26 +187,3 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
             f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}"
         )
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def zero_probability(state: QuantumState) -> float:
-    """Probability of the all-zeros outcome, |amplitude(0)|^2."""
-    return float(abs(state.amplitudes[0]) ** 2)
-
-
-def sample_counts(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
-    """Draw ``shots`` independent basis-state outcomes from |amplitudes|^2.
-
-    Returns a histogram mapping bitstrings (qubit n-1 leftmost) to counts;
-    outcomes that never occur are omitted. Deterministic for a fixed seed.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(mask_seed(seed))
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    counts = rng.multinomial(shots, probs)
-    n = state.num_qubits
-    return {
-        format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0
-    }

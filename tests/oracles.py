@@ -35,9 +35,10 @@ def cx_matrix(control: int, target: int, num_qubits: int) -> np.ndarray:
     return mat
 
 
-def second_order_map_unitary(x, repetitions: int = 2) -> np.ndarray:
+def second_order_map_unitary(x, repetitions: int = 2, entanglement: str = "full") -> np.ndarray:
     """Matrix-product expansion of the feature map definition: per
-    repetition H on all qubits, PHASE(2*x_i), and for each pair i<j the
+    repetition H on all qubits, PHASE(2*x_i), and for each pair i<j (only
+    j = i+1 with ``linear`` entanglement) the
     CX / PHASE(2*(pi-x_i)*(pi-x_j)) / CX block."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -49,6 +50,8 @@ def second_order_map_unitary(x, repetitions: int = 2) -> np.ndarray:
             U = expand_single(phase_matrix(2.0 * x[q]), q, n) @ U
         for i in range(n):
             for j in range(i + 1, n):
+                if entanglement == "linear" and j != i + 1:
+                    continue
                 block = (
                     cx_matrix(i, j, n)
                     @ expand_single(
@@ -60,8 +63,8 @@ def second_order_map_unitary(x, repetitions: int = 2) -> np.ndarray:
     return U
 
 
-def mapped_state(x, repetitions: int = 2) -> np.ndarray:
-    U = second_order_map_unitary(x, repetitions)
+def mapped_state(x, repetitions: int = 2, entanglement: str = "full") -> np.ndarray:
+    U = second_order_map_unitary(x, repetitions, entanglement)
     e0 = np.zeros(U.shape[0], dtype=complex)
     e0[0] = 1.0
     return U @ e0

@@ -9,10 +9,12 @@ from gnss_qsvm.feature_map import (
     build_circuit,
     compute_phases,
     map_to_state,
+    statevectors,
 )
-from gnss_qsvm.sim import QuantumState, run_circuit
+from gnss_qsvm.evaluate import grid_centers
+from gnss_qsvm.sim import MAX_QUBITS, QuantumState, run_circuit
 
-from oracles import second_order_map_unitary
+from oracles import mapped_state, second_order_map_unitary
 
 FM2 = FeatureMapConfig(num_features=2)
 
@@ -136,6 +138,56 @@ class TestInvariants:
             FeatureMapConfig(num_features=2, repetitions=0)
         with pytest.raises(ValueError):
             FeatureMapConfig(num_features=2, entanglement="ring")
+
+    def test_qubit_cap(self):
+        assert FeatureMapConfig(num_features=MAX_QUBITS).num_features == MAX_QUBITS
+        with pytest.raises(ValueError):
+            FeatureMapConfig(num_features=MAX_QUBITS + 1)
+
+
+class TestStatevectors:
+    """The batched engine against the gate simulator and the matrix oracle."""
+
+    @pytest.mark.parametrize("points", ["grid", "random"])
+    def test_rows_equal_gate_simulator_bit_for_bit(self, points):
+        if points == "grid":
+            centers = grid_centers(0.0, 1.0, 100)
+            X = np.column_stack([np.tile(centers, 100), np.repeat(centers, 100)])
+        else:
+            X = np.random.default_rng(71).uniform(-2 * math.pi, 2 * math.pi, size=(500, 2))
+        batched = statevectors(X, FM2)
+        reference = np.array([map_to_state(x, FM2).amplitudes for x in X])
+        assert np.array_equal(batched.view(np.float64), reference.view(np.float64))
+
+    @pytest.mark.parametrize("entanglement", ["full", "linear"])
+    @pytest.mark.parametrize("repetitions", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_oracle_and_simulator(self, width, repetitions, entanglement):
+        cfg = FeatureMapConfig(width, repetitions, entanglement)
+        X = np.random.default_rng(width * 10 + repetitions).uniform(
+            -2 * math.pi, 2 * math.pi, size=(12, width)
+        )
+        batched = statevectors(X, cfg)
+        oracle = np.array([mapped_state(x, repetitions, entanglement) for x in X])
+        assert batched.shape == (12, 1 << width)
+        assert np.max(np.abs(batched - oracle)) <= 1e-12
+        reference = np.array([map_to_state(x, cfg).amplitudes for x in X])
+        if width >= 2:
+            # A one-element in-place multiply takes numpy's scalar loop in
+            # the simulator, so width 1 agrees only to about 1e-16.
+            assert np.array_equal(batched.view(np.float64), reference.view(np.float64))
+        else:
+            assert np.max(np.abs(batched - reference)) <= 1e-15
+
+    def test_width_must_match_map(self):
+        with pytest.raises(DimensionError):
+            statevectors([[0.1, 0.2, 0.3]], FM2)
+        with pytest.raises(DimensionError):
+            statevectors([0.1, 0.2], FM2)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            statevectors([[0.1, math.nan]], FM2)
 
 
 def _basis(index: int) -> QuantumState:

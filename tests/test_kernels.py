@@ -22,6 +22,8 @@ from gnss_qsvm.kernels import (
 )
 from gnss_qsvm.sim import inner_product
 
+from oracles import second_order_map_unitary
+
 FM2 = FeatureMapConfig(num_features=2)
 
 # fidelity_exact((0.5, 0.5), (0.1, 0.9)), frozen from the statevector
@@ -75,6 +77,25 @@ class TestFidelitySampled:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, 0, seed=0)
+
+    def test_negative_seed_accepted(self):
+        # Seeds are taken modulo 2**64, as SeedSequence needs them unsigned.
+        x, y = [0.5, 0.5], [0.1, 0.9]
+        estimate = fidelity_sampled(x, y, FM2, 100, seed=-42)
+        assert estimate == fidelity_sampled(x, y, FM2, 100, seed=(1 << 64) - 42)
+
+    @pytest.mark.parametrize("shots", [1, 8, 1000])
+    def test_equals_all_zeros_count_of_circuit_histogram(self, shots):
+        # Reference: the full outcome histogram of the compute-uncompute
+        # circuit U(y)^-1 U(x) |0...0>, drawn with the same seed; the
+        # estimate must be its all-zeros count over the shots.
+        rng = np.random.default_rng(shots)
+        for seed in range(300):
+            x, y = rng.uniform(0, 1, size=(2, 2))
+            column = second_order_map_unitary(y).conj().T @ second_order_map_unitary(x)[:, 0]
+            probs = np.abs(column) ** 2
+            counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+            assert fidelity_sampled(x, y, FM2, shots, seed) == counts[0] / shots
 
 
 class TestRbf:

@@ -12,11 +12,8 @@ from gnss_qsvm.sim import (
     cnot,
     hadamard,
     inner_product,
-    inverse_circuit,
     phase,
     run_circuit,
-    sample_counts,
-    zero_probability,
     zero_state,
 )
 
@@ -108,17 +105,6 @@ class TestRunCircuit:
         assert np.allclose(a.amplitudes, [SQRT1_2, SQRT1_2 * np.exp(0.7j)])
 
 
-class TestInverseCircuit:
-    def test_inverse_undoes_random_circuits(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            circuit = Circuit(n, [random_gate(n, rng) for _ in range(10)])
-            state = random_state(n, rng)
-            roundtrip = run_circuit(inverse_circuit(circuit), run_circuit(circuit, state))
-            assert np.allclose(roundtrip.amplitudes, state.amplitudes, atol=1e-10)
-
-
 class TestInnerProduct:
     def test_self_overlap_is_one(self):
         rng = np.random.default_rng(3)
@@ -142,52 +128,6 @@ class TestInnerProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             inner_product(zero_state(1), zero_state(2))
-
-
-class TestZeroProbability:
-    def test_all_zeros_state(self):
-        assert zero_probability(zero_state(3)) == 1.0
-
-    def test_plus_state(self):
-        plus = apply_gate(zero_state(1), hadamard(0))
-        assert zero_probability(plus) == pytest.approx(0.5, abs=1e-12)
-
-    def test_one_state(self):
-        one = QuantumState(1, np.array([0.0, 1.0], dtype=complex))
-        assert zero_probability(one) == 0.0
-
-
-class TestSampleCounts:
-    def test_deterministic_distribution(self):
-        counts = sample_counts(zero_state(2), 1000, seed=0)
-        assert counts == {"00": 1000}
-
-    def test_golden_seeded_binomial(self):
-        # Frozen from the seeded run; 50293/100000 is within 0.01 of 0.5.
-        plus = apply_gate(zero_state(1), hadamard(0))
-        counts = sample_counts(plus, 100000, seed=123)
-        assert counts == {"0": 50293, "1": 49707}
-        assert abs(counts["0"] / 100000 - 0.5) < 0.01
-
-    def test_histogram_totals_shots(self):
-        rng = np.random.default_rng(11)
-        state = random_state(2, rng)
-        counts = sample_counts(state, 7, seed=5)
-        assert sum(counts.values()) == 7
-
-    def test_same_seed_same_histogram(self):
-        rng = np.random.default_rng(12)
-        state = random_state(3, rng)
-        assert sample_counts(state, 500, seed=9) == sample_counts(state, 500, seed=9)
-
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ValueError):
-            sample_counts(zero_state(1), 0, seed=0)
-
-    def test_negative_seed_accepted(self):
-        plus = apply_gate(zero_state(1), hadamard(0))
-        counts = sample_counts(plus, 100, seed=-42)
-        assert sum(counts.values()) == 100
 
 
 class TestStateValidation:
@@ -233,15 +173,3 @@ class TestInvariants:
             a = apply_gate(state, phase(theta, 1))
             b = apply_gate(state, phase(theta + 2 * math.pi, 1))
             assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-10)
-
-    def test_sampling_frequencies_converge(self):
-        rng = np.random.default_rng(99)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        state = QuantumState(2, v)
-        shots = 100000
-        counts = sample_counts(state, shots, seed=17)
-        probs = np.abs(v) ** 2
-        freqs = np.array([counts.get(format(i, "02b"), 0) / shots for i in range(4)])
-        # 5 sigma on the worst-case binomial std at 1e5 shots
-        assert np.max(np.abs(freqs - probs)) < 5 * math.sqrt(0.25 / shots)
