@@ -9,12 +9,18 @@ is solved by sequential minimal optimization with deterministic working-set
 selection: sweeps alternate between all points and the non-bound subset,
 and the partner index maximizes |E_i - E_j| with ties going to the lowest
 index. No randomized heuristics, so identical inputs give identical models.
+When that partner and the other free points all fail, Platt's fallback scans
+every point; here one vectorized step test first rules out, for all
+partners at once, those whose pair update must be rejected, and the scan
+visits only the rest. A rejected step changes nothing, so the model is bit
+for bit the one the plain scan gives.
 Multiclass uses one-vs-one voting.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -47,10 +53,12 @@ class SvmConfig:
     max_passes: int = 10_000
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if not self.kkt_tolerance > 0:
-            raise ValueError(f"kkt_tolerance must be positive, got {self.kkt_tolerance}")
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C}")
+        if not 0 < self.kkt_tolerance < math.inf:
+            raise ValueError(
+                f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}"
+            )
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
 
@@ -103,8 +111,12 @@ def solve_binary_smo(
     if np.all(y == y[0]):
         raise InvalidLabelsError("training labels contain a single class")
 
+    if not np.all(np.isfinite(K)):
+        raise ValueError("Gram values must be finite")
+
     C = cfg.C
     tol = cfg.kkt_tolerance
+    diag = K.diagonal()
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
     b = 0.0  # working threshold; decision value is f + b
@@ -113,10 +125,11 @@ def solve_binary_smo(
         nonlocal b, f
         if i1 == i2:
             return False
-        a1o, a2o = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1 = f[i1] + b - y1
-        e2 = f[i2] + b - y2
+        a1o, a2o = alpha.item(i1), alpha.item(i2)
+        y1, y2 = y.item(i1), y.item(i2)
+        f1, f2 = f.item(i1), f.item(i2)
+        e1 = f1 + b - y1
+        e2 = f2 + b - y2
         s = y1 * y2
         if s > 0:
             lo, hi = max(0.0, a1o + a2o - C), min(C, a1o + a2o)
@@ -124,7 +137,7 @@ def solve_binary_smo(
             lo, hi = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
         if hi - lo < _STEP_EPS:
             return False
-        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
+        k11, k12, k22 = K.item(i1, i1), K.item(i1, i2), K.item(i2, i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > _STEP_EPS:
             a2 = a2o + y2 * (e1 - e2) / eta
@@ -132,8 +145,8 @@ def solve_binary_smo(
         else:
             # Non-positive curvature (possible with sampled kernels):
             # compare the dual objective at both clip bounds.
-            obj_lo = _objective_delta(lo, a1o, a2o, y1, y2, f[i1], f[i2], k11, k12, k22)
-            obj_hi = _objective_delta(hi, a1o, a2o, y1, y2, f[i1], f[i2], k11, k12, k22)
+            obj_lo = _objective_delta(lo, a1o, a2o, y1, y2, f1, f2, k11, k12, k22)
+            obj_hi = _objective_delta(hi, a1o, a2o, y1, y2, f1, f2, k11, k12, k22)
             if obj_lo > obj_hi + _STEP_EPS:
                 a2 = lo
             elif obj_hi > obj_lo + _STEP_EPS:
@@ -160,23 +173,44 @@ def solve_binary_smo(
         alpha[i2] = a2
         return True
 
+    def may_step(i2: int, e2: float, errors: np.ndarray) -> np.ndarray:
+        # take_step(i1, i2)'s rejection tests for every i1 at once, with the
+        # same arithmetic: False only where take_step must return False.
+        # Non-positive curvature is left to take_step.
+        a2o, y2 = alpha.item(i2), y.item(i2)
+        same = y * y2 > 0
+        lo = np.where(same, np.maximum(0.0, alpha + a2o - C), np.maximum(0.0, a2o - alpha))
+        hi = np.where(same, np.minimum(C, alpha + a2o), np.minimum(C, C + a2o - alpha))
+        eta = diag + K.item(i2, i2) - 2.0 * K[:, i2]
+        curved = eta > _STEP_EPS
+        with np.errstate(all="ignore"):
+            a2 = np.minimum(np.maximum(a2o + y2 * (errors - e2) / eta, lo), hi)
+        tiny = np.abs(a2 - a2o) < _STEP_EPS * (a2 + a2o + _STEP_EPS)
+        ok = ~((hi - lo < _STEP_EPS) | (curved & tiny))
+        ok[i2] = False
+        return ok
+
     def examine(i2: int) -> bool:
-        y2, a2 = y[i2], alpha[i2]
-        e2 = f[i2] + b - y2
+        y2, a2 = y.item(i2), alpha.item(i2)
+        e2 = f.item(i2) + b - y2
         r2 = e2 * y2
         if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0)):
             return False
         errors = f + b - y
-        nonbound = np.flatnonzero((alpha > 0) & (alpha < C))
+        free = (alpha > 0) & (alpha < C)
+        nonbound = np.flatnonzero(free)
         if nonbound.size > 1:
             i1 = int(nonbound[np.argmax(np.abs(errors[nonbound] - e2))])
             if take_step(i1, i2):
                 return True
-        for i1 in nonbound:
+            nonbound = nonbound[nonbound != i1]
+        for i1 in nonbound[nonbound != i2]:
             if take_step(int(i1), i2):
                 return True
-        for i1 in range(n):
-            if take_step(i1, i2):
+        # Every free point failed above and failed steps change nothing, so
+        # the full scan needs only the bound points the step test keeps.
+        for i1 in np.flatnonzero(may_step(i2, e2, errors) & ~free):
+            if take_step(int(i1), i2):
                 return True
         return False
 

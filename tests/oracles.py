@@ -117,3 +117,107 @@ def brute_force_dual_max(K, y, C: float, grid_points: int = 13) -> float:
         if res.success and abs(float(res.x @ y)) < 1e-8:
             best = max(best, -float(res.fun))
     return best
+
+
+def platt_smo(K, y, C: float, tol: float, max_passes: int = 10_000,
+              step_eps: float = 1e-12, bound_eps: float = 1e-8):
+    """Platt's SMO with the plain partner search: each examined point tries
+    the free point of largest |E1 - E2|, then every free point, then every
+    point, in index order. The package solver skips partners that cannot
+    move but must return the same bits; returns (alpha, bias, converged)."""
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    f = np.zeros(n)
+    b = 0.0
+
+    def delta(t, a1o, a2o, y1, y2, f1, f2, k11, k12, k22):
+        d2 = t - a2o
+        d1 = -y1 * y2 * d2
+        return (d1 + d2 - d1 * y1 * f1 - d2 * y2 * f2
+                - 0.5 * (d1 * d1 * k11 + d2 * d2 * k22) - d1 * d2 * y1 * y2 * k12)
+
+    def take_step(i1, i2):
+        nonlocal b, f
+        if i1 == i2:
+            return False
+        a1o, a2o, y1, y2 = alpha[i1], alpha[i2], y[i1], y[i2]
+        e1, e2 = f[i1] + b - y1, f[i2] + b - y2
+        s = y1 * y2
+        if s > 0:
+            lo, hi = max(0.0, a1o + a2o - C), min(C, a1o + a2o)
+        else:
+            lo, hi = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
+        if hi - lo < step_eps:
+            return False
+        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
+        eta = k11 + k22 - 2.0 * k12
+        if eta > step_eps:
+            a2 = min(max(a2o + y2 * (e1 - e2) / eta, lo), hi)
+        else:
+            obj_lo = delta(lo, a1o, a2o, y1, y2, f[i1], f[i2], k11, k12, k22)
+            obj_hi = delta(hi, a1o, a2o, y1, y2, f[i1], f[i2], k11, k12, k22)
+            if obj_lo > obj_hi + step_eps:
+                a2 = lo
+            elif obj_hi > obj_lo + step_eps:
+                a2 = hi
+            else:
+                return False
+        if abs(a2 - a2o) < step_eps * (a2 + a2o + step_eps):
+            return False
+        a1 = min(max(a1o + s * (a2o - a2), 0.0), C)
+        d1, d2 = y1 * (a1 - a1o), y2 * (a2 - a2o)
+        b1 = b - e1 - d1 * k11 - d2 * k12
+        b2 = b - e2 - d1 * k12 - d2 * k22
+        if bound_eps * C < a1 < C * (1 - bound_eps):
+            b = b1
+        elif bound_eps * C < a2 < C * (1 - bound_eps):
+            b = b2
+        else:
+            b = 0.5 * (b1 + b2)
+        f += d1 * K[:, i1] + d2 * K[:, i2]
+        alpha[i1], alpha[i2] = a1, a2
+        return True
+
+    def examine(i2):
+        e2 = f[i2] + b - y[i2]
+        r2 = e2 * y[i2]
+        if not ((r2 < -tol and alpha[i2] < C) or (r2 > tol and alpha[i2] > 0)):
+            return False
+        nonbound = np.flatnonzero((alpha > 0) & (alpha < C))
+        if nonbound.size > 1:
+            errors = f + b - y
+            if take_step(int(nonbound[np.argmax(np.abs(errors[nonbound] - e2))]), i2):
+                return True
+        return any(take_step(int(i1), i2) for i1 in nonbound) or any(
+            take_step(i1, i2) for i1 in range(n))
+
+    converged = False
+    examine_all = True
+    for _ in range(max_passes):
+        targets = range(n) if examine_all else np.flatnonzero((alpha > 0) & (alpha < C))
+        changed = sum(examine(int(i)) for i in targets)
+        if examine_all:
+            if changed == 0:
+                converged = True
+                break
+            examine_all = False
+        elif changed == 0:
+            examine_all = True
+
+    eps = bound_eps * C
+    free = (alpha > eps) & (alpha < C - eps)
+    residual = y - f
+    if np.any(free):
+        return alpha, float(residual[free].mean()), converged
+    at_zero, at_c = alpha <= eps, alpha >= C - eps
+    lower = residual[(at_zero & (y > 0)) | (at_c & (y < 0))]
+    upper = residual[(at_zero & (y < 0)) | (at_c & (y > 0))]
+    if lower.size and upper.size:
+        return alpha, float(0.5 * (lower.max() + upper.min())), converged
+    if upper.size:
+        return alpha, float(upper.min()), converged
+    if lower.size:
+        return alpha, float(lower.max()), converged
+    return alpha, 0.0, converged

@@ -148,6 +148,15 @@ class TestExperiment:
         assert code == 1
         assert "raw" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, field", [("--tolerance", "kkt_tolerance"), ("--C", "C")])
+    def test_infinite_solver_setting_rejected(self, tmp_path, capsys, option, field):
+        outdir = tmp_path / "out"
+        code = run_cli("experiment", "--train", "T1_SHAPE", "--test", "T1_SHAPE",
+                       "--model", "svm", option, "inf", "--outdir", outdir)
+        assert code == 1
+        assert f"{field} must be positive and finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestRunExperimentApi:
     def test_returns_report_and_artifacts(self, tmp_path):

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from gnss_qsvm.data import apply_scaler, fit_scaler, generate_synthetic
+from gnss_qsvm.data import Dataset, apply_scaler, fit_scaler, generate_synthetic
 from gnss_qsvm.errors import (
     ConvergenceWarning,
     DimensionError,
@@ -17,6 +19,7 @@ from gnss_qsvm.kernels import (
     RBF,
     KernelConfig,
     KernelMatrix,
+    default_gamma,
     gram_symmetric,
 )
 from gnss_qsvm.svm import (
@@ -34,7 +37,7 @@ from gnss_qsvm.svm import (
     train_ovo,
 )
 
-from oracles import brute_force_dual_max
+from oracles import brute_force_dual_max, platt_smo
 
 IDENTITY_GRAM = KernelMatrix(2, 2, np.eye(2), symmetric=True)
 
@@ -83,6 +86,13 @@ class TestSolveBinarySmo:
         with pytest.raises(DimensionError):
             solve_binary_smo(np.eye(3), [1, -1], SvmConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        K = np.eye(4)
+        K[1, 2] = K[2, 1] = bad
+        with pytest.raises(ValueError, match="Gram values must be finite"):
+            solve_binary_smo(K, [1, -1, 1, -1], SvmConfig())
+
     def test_sweep_cap_flags_nonconvergence(self):
         rng = np.random.default_rng(22)
         pts = rng.uniform(0, 1, size=(30, 2))
@@ -121,6 +131,14 @@ class TestSolveBinarySmo:
         b = solve_binary_smo(K, y, SvmConfig())
         assert np.array_equal(a.alpha, b.alpha)
         assert a.bias == b.bias
+
+
+class TestSvmConfig:
+    @pytest.mark.parametrize("field", ["C", "kkt_tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_non_positive_or_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SvmConfig(**{field: value})
 
 
 class TestDecisionValue:
@@ -392,3 +410,123 @@ def test_corrupted_model_rejected_at_load(tmp_path, corruption):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def _pair_blocks(presets, kcfg):
+    """The one-vs-one pair problems (Gram block, +/-1 labels) that train_ovo
+    solves on the scaled, pooled presets at data seed 0."""
+    data = [generate_synthetic(p, seed=0) for p in presets]
+    pooled = Dataset(samples=[s for d in data for s in d.samples])
+    X = apply_scaler(fit_scaler(pooled), pooled)
+    if kcfg.mode == RBF:
+        kcfg = KernelConfig(mode=RBF, gamma=default_gamma(X))
+    gram = gram_symmetric(X, kcfg).values
+    labels = np.array(pooled.labels())
+    blocks = []
+    for a, b in itertools.combinations(sorted(set(pooled.labels())), 2):
+        idx = np.flatnonzero((labels == a) | (labels == b))
+        blocks.append((gram[np.ix_(idx, idx)], np.where(labels[idx] == a, 1.0, -1.0)))
+    return blocks
+
+
+def _solve_quietly(K, y, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        return solve_binary_smo(K, y, cfg)
+
+
+def _assert_matches_plain_platt(K, y, cfg):
+    model = _solve_quietly(K, y, cfg)
+    alpha, bias, converged = platt_smo(K, y, cfg.C, cfg.kkt_tolerance, cfg.max_passes)
+    assert model.alpha.tobytes() == alpha.tobytes()
+    assert (repr(model.bias), model.converged) == (repr(bias), converged)
+
+
+def _sha256(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+GOLDEN_PROBLEMS = {
+    "rbf T0+T1": (("T0_SHAPE", "T1_SHAPE"), KernelConfig(mode=RBF)),
+    "exact T0": (("T0_SHAPE",), KernelConfig(mode=FIDELITY_EXACT)),
+    "sampled T0 8 shots": (("T0_SHAPE",), KernelConfig(mode=FIDELITY_SAMPLED, shots=8, seed=0)),
+}
+
+# sha256 of every block's bytes and labels. The model digests below hold for
+# exactly these inputs; another platform's exp/cos may move Gram entries by
+# an ulp, and then test_pair_models_match_plain_platt_scan is the check.
+GOLDEN_INPUTS = {
+    "rbf T0+T1": "1688b6318ed6739f01025fd8290f54405cfd4cc159c128a20bdebef1905547bc",
+    "exact T0": "e76b8db36d7e7c8b3c6091337280e51beb677143486fea61fd82a8939562b14e",
+    "sampled T0 8 shots": "1a510133d12edd95817eb92546ba9ad18f7351edbc058e1eaa05d677794cc85d",
+}
+
+# (problem, C, max_passes) -> sha256 over each pair model's alpha bytes,
+# repr(bias) and converged flag, recorded from the solver that tried every
+# partner in turn. Skipping partners that cannot move must not change a bit.
+GOLDEN_DIGESTS = {
+    ("rbf T0+T1", 0.1, 10_000): "7d5b611a621ab0d4e676b2c48d380e0cfd0c91b7039f50b0f8421de4f0d827ef",
+    ("rbf T0+T1", 1.0, 10_000): "f88ebab0a270ad727f2ead0c48e3db3897bb9fecb7263bae0dba618120f9f11f",
+    ("rbf T0+T1", 10.0, 10_000): "6dabe7b8e5a37b67b5ba223df18f2603470d9089ce68e77e981cbc583256901d",
+    ("rbf T0+T1", 1.0, 1): "412ede23098577ca056fb09d96bebbd73fec1e556ef2f47f290c9b1c524778ba",
+    ("exact T0", 0.1, 10_000): "d7c1e53fd77b9ce3e8517d8ffdc04a40192e3627704b878e229764dae9d1d45a",
+    ("exact T0", 1.0, 10_000): "384b9e81e60cf39bf430829fcda7fc3faadc06c701ee6aae3d9e891d865e613e",
+    ("exact T0", 10.0, 10_000): "7e63e5fc9a7b57bb857348db7a223a1c69f58e0e58db3b2e068972261b680c5f",
+    ("sampled T0 8 shots", 0.1, 10_000):
+        "4fdc9e73a9bb82cf81116a43d7eb4b86829180e04ffee9aaeec95fdcb59d1ba7",
+    ("sampled T0 8 shots", 1.0, 10_000):
+        "43ae54ab2f3601a34665d23ea603c9cab88ebd2541c2ff69f5021d8d3947683e",
+    ("sampled T0 8 shots", 10.0, 10_000):
+        "08df701dcbc6c25f51fb3f084d920411fee66f4a256d69090ebffc60a9942644",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_blocks():
+    return {name: _pair_blocks(*spec) for name, spec in GOLDEN_PROBLEMS.items()}
+
+
+@pytest.mark.parametrize("problem, C, max_passes", list(GOLDEN_DIGESTS))
+def test_pair_models_match_golden_bytes(golden_blocks, problem, C, max_passes):
+    blocks = golden_blocks[problem]
+    if _sha256(*(part.tobytes() for block in blocks for part in block)) != GOLDEN_INPUTS[problem]:
+        pytest.skip("Gram bytes differ from those the digests were recorded on")
+    models = [_solve_quietly(K, y, SvmConfig(C=C, max_passes=max_passes)) for K, y in blocks]
+    assert all(m.converged == (max_passes > 1) for m in models)
+    parts = [(m.alpha.tobytes(), m.bias, m.converged) for m in models]
+    assert _sha256(*itertools.chain.from_iterable(parts)) == GOLDEN_DIGESTS[problem, C, max_passes]
+
+
+@pytest.mark.parametrize("problem, C, max_passes", list(GOLDEN_DIGESTS))
+def test_pair_models_match_plain_platt_scan(golden_blocks, problem, C, max_passes):
+    for K, y in golden_blocks[problem]:
+        _assert_matches_plain_platt(K, y, SvmConfig(C=C, max_passes=max_passes))
+
+
+def test_sampled_golden_pair_blocks_are_indefinite(golden_blocks):
+    # Keeps the non-positive-curvature (eta <= 0) branch of the pair update
+    # under the golden bytes.
+    for K, _ in golden_blocks["sampled T0 8 shots"]:
+        assert np.linalg.eigvalsh(K).min() < 0
+
+
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+def test_random_grams_match_plain_platt_scan(C, tol):
+    # Odd trials are symmetric Gaussian matrices, far from PSD; a 200-sweep
+    # cap keeps the ones that never converge short.
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        n = int(rng.integers(4, 40))
+        if trial % 2:
+            A = rng.normal(size=(n, n))
+            K = (A + A.T) / 2
+        else:
+            pts = rng.uniform(0, 1, size=(n, 2))
+            K = np.exp(-float(rng.uniform(0.5, 5)) * ((pts[:, None] - pts[None]) ** 2).sum(-1))
+        y = rng.choice([-1.0, 1.0], size=n)
+        y[:2] = 1.0, -1.0
+        _assert_matches_plain_platt(K, y, SvmConfig(C=C, kkt_tolerance=tol, max_passes=200))
