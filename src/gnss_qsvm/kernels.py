@@ -9,10 +9,18 @@ the exact overlap: numpy's multinomial over all outcomes draws that count
 first, as exactly this binomial. Sampled entries derive their seed from
 (master seed, row index, column index), so matrices are reproducible
 regardless of evaluation order.
+
+Each entry's value is ``default_rng(pair_seed(seed, i, j)).binomial(shots,
+p) / shots``, but no ``SeedSequence`` or ``Generator`` is built per entry:
+numpy's ``SeedSequence`` hash (NEP 19) runs once over all entries of a block
+as ``uint32`` columns, first for the pair seeds and then for the PCG64 keys
+that ``default_rng`` derives from them, and one reused generator draws every
+binomial after its state is set to the PCG64 state of that entry's seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +33,28 @@ FIDELITY_EXACT = "fidelity_exact"
 FIDELITY_SAMPLED = "fidelity_sampled"
 RBF = "rbf"
 KERNEL_MODES = (FIDELITY_EXACT, FIDELITY_SAMPLED, RBF)
+MAX_SHOTS = 2**63 - 1
+
+# numpy's SeedSequence constants (pool of four uint32 words) and PCG64's
+# 128-bit LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32 = (1 << 32) - 1
+_U128 = (1 << 128) - 1
+
+
+def _check_shots(shots) -> None:
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) \
+            or not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be an integer in [1, {MAX_SHOTS}], got {shots!r}")
+
+
+def _check_gamma(gamma) -> None:
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +68,10 @@ class KernelConfig:
     def __post_init__(self):
         if self.mode not in KERNEL_MODES:
             raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
-        if self.mode == FIDELITY_SAMPLED and self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if self.mode == FIDELITY_SAMPLED:
+            _check_shots(self.shots)
+        if self.gamma is not None:
+            _check_gamma(self.gamma)
 
 
 @dataclass(eq=False)
@@ -65,10 +95,86 @@ def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _shot_estimate(p: float, shots: int, seed: int) -> float:
-    """Fraction of all-zeros outcomes in ``shots`` runs whose all-zeros
-    probability is ``p``."""
-    return int(np.random.default_rng(mask_seed(seed)).binomial(shots, p)) / shots
+def _hash_consts(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) columns of SeedSequence's first ``calls``
+    hashmix calls: each call xors with the running constant, steps it by
+    ``mult`` and multiplies by the new value."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _U32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+# Pool filling and mixing take 4 + 12 hashmix calls; generate_state(4,
+# np.uint64) takes 8.
+_XOR_A, _MUL_A = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_XOR_B, _MUL_B = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mul
+    return value ^ value >> np.uint32(16)
+
+
+def _seed_state(words: list, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` for a batch
+    of entropies, as an (n_words, batch) array. An entropy is given as its
+    uint32 words, least significant first, at most ``_POOL_SIZE`` of them;
+    each word is a column over the batch or, except the last, one value
+    shared by all."""
+    pool = np.zeros((_POOL_SIZE, len(words[-1])), dtype=np.uint32)
+    for k, word in enumerate(words):
+        pool[k] = word
+    pool = _hashmix(pool, _XOR_A[:_POOL_SIZE], _MUL_A[:_POOL_SIZE])
+    for src in range(_POOL_SIZE):
+        # The three calls of one source word touch distinct destinations.
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        calls = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * src + 3)
+        mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                 - np.uint32(_MIX_MULT_R) * _hashmix(pool[src], _XOR_A[calls], _MUL_A[calls]))
+        pool[dst] = mixed ^ mixed >> np.uint32(16)
+    n = 2 * n_words
+    out = _hashmix(pool[np.arange(n) % _POOL_SIZE], _XOR_B[:n], _MUL_B[:n]).astype(np.uint64)
+    return out[0::2] | out[1::2] << np.uint64(32)
+
+
+def _pair_seeds(master_seed: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``pair_seed(master_seed, i, j)`` for each (i, j) in zip(rows, cols)."""
+    seed = mask_seed(master_seed)
+    head = [seed & _U32, seed >> 32] if seed >> 32 else [seed]
+    return _seed_state([*head, rows.astype(np.uint32), cols.astype(np.uint32)], 1)[0]
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of ``default_rng(seed).bit_generator`` for each uint64
+    seed: keys k0..k3 from the seed's SeedSequence, then PCG64's seeding
+    steps on inc = (k2:k3) << 1 | 1 and initial state (k0:k1)."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    # SeedSequence takes a seed below 2**32 as one word; a zero high word
+    # hashes exactly like the pool's zero padding, so two words serve all.
+    keys = _seed_state([(seeds & np.uint64(_U32)).astype(np.uint32),
+                        (seeds >> np.uint64(32)).astype(np.uint32)], 4)
+    states = []
+    for k0, k1, k2, k3 in keys.T.tolist():
+        inc = ((k2 << 64 | k3) << 1 | 1) & _U128
+        states.append((((k0 << 64 | k1) + inc) * _PCG64_MULT + inc & _U128, inc))
+    return states
+
+
+def _shot_estimates(p: np.ndarray, seeds: np.ndarray, shots: int) -> np.ndarray:
+    """``default_rng(seed).binomial(shots, p) / shots`` for each pair of
+    ``p`` and uint64 ``seeds``: the fraction of all-zeros outcomes in
+    ``shots`` runs whose all-zeros probability is ``p``. One generator is
+    reused, its state set to each seed's PCG64 state before the draw."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    out = np.empty(len(p))
+    for k, ((state, inc), p_k) in enumerate(zip(_pcg64_states(seeds), p.tolist())):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        out[k] = int(rng.binomial(shots, p_k)) / shots
+    return out
 
 
 def fidelity_exact(x, y, fm: FeatureMapConfig) -> float:
@@ -81,15 +187,14 @@ def fidelity_exact(x, y, fm: FeatureMapConfig) -> float:
 def fidelity_sampled(x, y, fm: FeatureMapConfig, shots: int, seed: int) -> float:
     """Shot estimate of the fidelity: fraction of all-zeros outcomes when
     sampling the compute-uncompute circuit."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    return _shot_estimate(fidelity_exact(x, y, fm), shots, seed)
+    _check_shots(shots)
+    p = np.array([fidelity_exact(x, y, fm)])
+    return float(_shot_estimates(p, np.array([mask_seed(seed)], dtype=np.uint64), shots)[0])
 
 
 def rbf(x, y, gamma: float) -> float:
     """exp(-gamma * ||x - y||^2)."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     x, y = _vector_pair(x, y)
     return float(np.exp(-gamma * np.sum((x - y) ** 2)))
 
@@ -108,9 +213,12 @@ def default_gamma(X) -> float:
 
 def pair_seed(master_seed: int, i: int, j: int) -> int:
     """Deterministic per-entry seed derived from the master seed and the
-    (row, column) indices, independent of evaluation order."""
-    ss = np.random.SeedSequence([mask_seed(master_seed), int(i), int(j)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    (row, column) indices, independent of evaluation order: the first word
+    of ``SeedSequence([mask_seed(master_seed), i, j])`` as uint64. Indices
+    must lie in [0, 2**32)."""
+    if not (0 <= i <= _U32 and 0 <= j <= _U32):
+        raise ValueError(f"indices must lie in [0, 2**32), got ({i}, {j})")
+    return int(_pair_seeds(master_seed, np.array([i]), np.array([j]))[0])
 
 
 def check_features(X, cfg: KernelConfig | None = None, name: str = "X",
@@ -144,9 +252,9 @@ def _block(A: np.ndarray, B: np.ndarray, cfg: KernelConfig, upper: bool = False)
     sv_b = sv_a if upper else statevectors(B, cfg.feature_map)
     K = np.clip(np.abs(sv_a.conj() @ sv_b.T) ** 2, 0.0, 1.0)
     if cfg.mode == FIDELITY_SAMPLED:
-        for i in range(K.shape[0]):
-            for j in range(i + 1 if upper else 0, K.shape[1]):
-                K[i, j] = _shot_estimate(K[i, j], cfg.shots, pair_seed(cfg.seed, i, j))
+        rows, cols = np.triu_indices(len(K), 1) if upper else np.indices(K.shape).reshape(2, -1)
+        seeds = _pair_seeds(cfg.seed, rows, cols)
+        K[rows, cols] = _shot_estimates(K[rows, cols], seeds, cfg.shots)
     return K
 
 

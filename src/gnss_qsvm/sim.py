@@ -9,8 +9,8 @@ batched engine ``feature_map.statevectors``, which applies the same gate
 arithmetic to many samples at once, and draw shot noise as a binomial on the
 exact overlap. The simulator stays as the gate-by-gate reference that the
 tests check that engine against. :func:`mask_seed` maps any seed onto the
-range of numpy's ``SeedSequence``, which seeds every PCG64 generator
-(``default_rng``) of the package.
+range of numpy's ``SeedSequence``, which seeds every PCG64 generator of the
+package (see :func:`mask_seed` for how each consumer uses it).
 """
 
 from __future__ import annotations
@@ -33,7 +33,14 @@ GATE_KINDS = ("H", "PHASE", "CX")
 
 def mask_seed(seed: int) -> int:
     """Map an arbitrary Python int (negatives included) onto the unsigned
-    64-bit range SeedSequence accepts, deterministically."""
+    64-bit range SeedSequence accepts, deterministically.
+
+    ``data.generate_synthetic`` seeds ``default_rng`` with it directly. The
+    sampled kernels build no ``SeedSequence`` or ``Generator`` per entry:
+    they evaluate numpy's ``SeedSequence`` hash over a whole block of masked
+    seeds at once and draw with one reused generator, giving the same values
+    as ``default_rng(mask_seed(seed))`` and ``default_rng(pair_seed(...))``.
+    """
     return int(seed) & _U64
 
 

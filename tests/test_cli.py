@@ -157,6 +157,14 @@ class TestExperiment:
         assert f"{field} must be positive and finite" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_infinite_gamma_rejected(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code = run_cli("experiment", "--train", "T1_SHAPE", "--test", "T1_SHAPE",
+                       "--model", "svm", "--gamma", "inf", "--outdir", outdir)
+        assert code == 1
+        assert "gamma must be positive and finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestRunExperimentApi:
     def test_returns_report_and_artifacts(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,8 +10,12 @@ from gnss_qsvm.feature_map import FeatureMapConfig, map_to_state
 from gnss_qsvm.kernels import (
     FIDELITY_EXACT,
     FIDELITY_SAMPLED,
+    MAX_SHOTS,
     RBF,
     KernelConfig,
+    _pair_seeds,
+    _pcg64_states,
+    _shot_estimates,
     default_gamma,
     fidelity_exact,
     fidelity_sampled,
@@ -20,7 +25,7 @@ from gnss_qsvm.kernels import (
     rbf,
     save_kernel_csv,
 )
-from gnss_qsvm.sim import inner_product
+from gnss_qsvm.sim import inner_product, mask_seed
 
 from oracles import second_order_map_unitary
 
@@ -296,3 +301,135 @@ def test_pointwise_kernels_reject_non_finite(kernel, bad):
 def test_default_gamma_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         default_gamma([[0.0, 1.0], [np.nan, 0.5]])
+
+
+# Master seeds for the batched seeding oracles: 1- and 2-word entropies
+# (below and from 2**32), the ends of the masked range and a negative seed.
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -42] + [
+    int(v) for v in np.random.default_rng(2024).integers(-(2**63), 2**63 - 1, size=4)
+] + [int(v) for v in np.random.default_rng(2025).integers(0, 2**32, size=2)]
+
+
+def _numpy_pair_seed(seed, i, j):
+    return int(np.random.SeedSequence([mask_seed(seed), i, j]).generate_state(1, np.uint64)[0])
+
+
+def _numpy_pcg64_state(seed):
+    state = np.random.default_rng(seed).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+class TestBatchedSeeding:
+    """The batched SeedSequence hash, PCG64 seeding and reused generator
+    against numpy's own SeedSequence and default_rng."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_pair_seeds_match_seed_sequence(self, seed):
+        rows, cols = np.indices((12, 12)).reshape(2, -1)
+        rows = np.concatenate([rows, [0, 2**31, 2**32 - 1, 65536]])
+        cols = np.concatenate([cols, [2**32 - 1, 3, 2**32 - 1, 0]])
+        expected = [_numpy_pair_seed(seed, int(i), int(j)) for i, j in zip(rows, cols)]
+        assert _pair_seeds(seed, rows, cols).tolist() == expected
+        assert [pair_seed(seed, int(i), int(j)) for i, j in zip(rows, cols)] == expected
+
+    def test_oracle_seeds_cover_both_entropy_lengths(self):
+        # SeedSequence takes a masked seed below 2**32 as one uint32 word.
+        words = {1 if mask_seed(s) < 2**32 else 2 for s in ORACLE_SEEDS}
+        assert words == {1, 2}
+
+    def test_pair_seed_rejects_indices_outside_uint32(self):
+        for i, j in [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)]:
+            with pytest.raises(ValueError, match="indices"):
+                pair_seed(0, i, j)
+
+    @pytest.mark.parametrize("kind", ["one-word", "two-word", "mixed"])
+    def test_pcg64_states_match_default_rng(self, kind):
+        # default_rng hashes a seed below 2**32 as one entropy word, else two.
+        rng = np.random.default_rng(3)
+        one_word = [0, 1, 5, 2**31, 2**32 - 1] + rng.integers(0, 2**32, 20).tolist()
+        two_word = [2**32, 2**32 + 3, 2**63, 2**64 - 1] + rng.integers(
+            2**32, 2**64, 20, dtype=np.uint64).tolist()
+        seeds = {"one-word": one_word, "two-word": two_word,
+                 "mixed": [s for pair in zip(one_word, two_word) for s in pair]}[kind]
+        assert _pcg64_states(np.array(seeds, dtype=np.uint64)) == [
+            _numpy_pcg64_state(s) for s in seeds
+        ]
+
+    @pytest.mark.parametrize("shots", [1, 2, 8, 31, 1000, 8192])
+    def test_shot_estimates_match_default_rng(self, shots):
+        rng = np.random.default_rng(shots)
+        p = np.concatenate([[0.0, 1.0, 1 - 1e-12, 1e-12, 0.5, 30 / shots],
+                            rng.uniform(0, 1, size=200)]).clip(0, 1)
+        seeds = rng.integers(0, 2**64, size=p.size, dtype=np.uint64)
+        seeds[:3] = [0, 2**32 - 1, 2**64 - 1]
+        expected = [int(np.random.default_rng(int(s)).binomial(shots, pk)) / shots
+                    for s, pk in zip(seeds.tolist(), p.tolist())]
+        assert _shot_estimates(p, seeds, shots).tolist() == expected
+
+    def test_single_point_gram_has_no_sampled_entries(self):
+        km = gram_symmetric([[0.3, 0.4]], KernelConfig(FIDELITY_SAMPLED, shots=8, seed=3))
+        assert km.values.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("seed", [0, -42, 2**32 + 3])
+    def test_single_row_rectangular_block_matches_per_entry(self, seed):
+        rng = np.random.default_rng(11)
+        x, X = rng.uniform(0, 1, size=2), rng.uniform(0, 1, size=(7, 2))
+        km = gram_rectangular([x], X, KernelConfig(FIDELITY_SAMPLED, shots=50, seed=seed))
+        assert km.values.shape == (1, 7)
+        assert km.values[0].tolist() == [
+            fidelity_sampled(x, X[j], FM2, 50, pair_seed(seed, 0, j)) for j in range(7)
+        ]
+
+
+# sha256 of the sampled T0 Gram bytes (scaled T0 at data seed 0), recorded
+# from the per-entry SeedSequence / default_rng implementation. They hold for
+# exactly the exact Gram below; another platform's exp/cos may move an overlap
+# by an ulp, and then the oracle tests above are the check.
+GOLDEN_EXACT_T0 = "67bd6b245ff4570cb927936ba9e23b60e042aff2dde9e0e3e0ddd60e00abf002"
+GOLDEN_SAMPLED_T0 = {
+    (1000, 0): "e798669555f96f6146f72ea832d71de454941a80fe921a575fae5aef086ecc4b",
+    (8, 3): "0e6afbda8142850ea08b85a8dc0b98c682d1c9ee41b1b40029317769cb36f01b",
+    (200, 5): "0123725b68c20238522bb399bae80a200ac797c3d34f2c45101bfbf823469f83",
+    (1, 1): "2c3a9d9edc4d4982694bf51ab138adc2763242ceefb1f81eabfde8b653e619ca",
+    (100, -42): "919fcfd41432d08f0d0339df7442ad36999d59d6533b829bb5fae5c77e4645af",
+}
+
+
+@pytest.fixture(scope="module")
+def scaled_t0():
+    t0 = generate_synthetic("T0_SHAPE", seed=0)
+    return apply_scaler(fit_scaler(t0), t0)
+
+
+@pytest.mark.parametrize("shots, seed", list(GOLDEN_SAMPLED_T0))
+def test_sampled_gram_matches_golden_bytes(scaled_t0, shots, seed):
+    exact = gram_symmetric(scaled_t0, KernelConfig(FIDELITY_EXACT)).values
+    if hashlib.sha256(exact.tobytes()).hexdigest() != GOLDEN_EXACT_T0:
+        pytest.skip("exact Gram bytes differ from those the digests were recorded on")
+    sampled = gram_symmetric(scaled_t0, KernelConfig(FIDELITY_SAMPLED, shots=shots, seed=seed))
+    assert hashlib.sha256(sampled.values.tobytes()).hexdigest() == GOLDEN_SAMPLED_T0[shots, seed]
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0])
+def test_non_finite_or_non_positive_gamma_rejected(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        KernelConfig(mode=RBF, gamma=gamma)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        rbf([0.5, 0.5], [0.5, 0.5], gamma)
+
+
+@pytest.mark.parametrize("shots", [0, -1, 2.5, 3.0, np.float64(4), True, False, "8",
+                                   MAX_SHOTS + 1, 10**20])
+def test_shots_must_be_an_int_in_range(shots):
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        KernelConfig(mode=FIDELITY_SAMPLED, shots=shots)
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, shots, seed=0)
+
+
+@pytest.mark.parametrize("shots", [1, np.int64(16), MAX_SHOTS])
+def test_shots_range_ends_accepted(shots):
+    assert KernelConfig(mode=FIDELITY_SAMPLED, shots=shots).shots == shots
+    x, y = [0.5, 0.5], [0.1, 0.9]
+    expected = int(np.random.default_rng(0).binomial(shots, fidelity_exact(x, y, FM2))) / shots
+    assert fidelity_sampled(x, y, FM2, shots, seed=0) == expected
