@@ -248,9 +248,17 @@ def _block(A: np.ndarray, B: np.ndarray, cfg: KernelConfig, upper: bool = False)
     if cfg.mode == RBF:
         sq_distances = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
         return np.exp(-cfg.gamma * sq_distances)
-    sv_a = statevectors(A, cfg.feature_map)
-    sv_b = sv_a if upper else statevectors(B, cfg.feature_map)
-    K = np.clip(np.abs(sv_a.conj() @ sv_b.T) ** 2, 0.0, 1.0)
+    if upper:
+        sv_a = sv_b = statevectors(A, cfg.feature_map)
+    else:
+        # One engine call for both sides: the engine works row by row, so
+        # the split states equal two separate calls bit for bit.
+        sv_b, sv_a = np.split(statevectors(np.concatenate([B, A]), cfg.feature_map), [len(B)])
+    # numpy hands a one-row product to gemv, which rounds differently from
+    # the gemm every larger batch gets; a doubled row keeps a point's kernel
+    # row independent of the batch it came in.
+    rows_a = sv_a.conj() if len(sv_a) > 1 else np.repeat(sv_a.conj(), 2, axis=0)
+    K = np.clip(np.abs(rows_a @ sv_b.T) ** 2, 0.0, 1.0)[: len(sv_a)]
     if cfg.mode == FIDELITY_SAMPLED:
         rows, cols = np.triu_indices(len(K), 1) if upper else np.indices(K.shape).reshape(2, -1)
         seeds = _pair_seeds(cfg.seed, rows, cols)

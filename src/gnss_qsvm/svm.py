@@ -14,6 +14,17 @@ every point; here one vectorized step test first rules out, for all
 partners at once, those whose pair update must be rejected, and the scan
 visits only the rest. A rejected step changes nothing, so the model is bit
 for bit the one the plain scan gives.
+
+The search state is kept rather than rebuilt at every step, with the same
+IEEE arithmetic in the same order:
+- alpha, the labels and the Gram diagonal have Python-float mirrors for the
+  scalar reads of the pair update;
+- the free set and its indices and labels are updated by the pair update,
+  and recomputed only when a point enters or leaves it;
+- the partner heuristic computes errors on the free points only;
+- the step test picks its same-label mask from two precomputed label
+  masks.
+
 Multiclass uses one-vs-one voting.
 """
 
@@ -117,16 +128,22 @@ def solve_binary_smo(
     C = cfg.C
     tol = cfg.kkt_tolerance
     diag = K.diagonal()
+    same_label = {1.0: y > 0, -1.0: y < 0}  # y * y2 > 0, by y2
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
     b = 0.0  # working threshold; decision value is f + b
+    # Python-float mirrors for the scalar reads, and the free set
+    # (0 < alpha < C) kept up to date by take_step.
+    alpha_l, y_l, diag_l = [0.0] * n, y.tolist(), diag.tolist()
+    free = np.zeros(n, dtype=bool)
+    nonbound, y_nonbound = np.flatnonzero(free), y[:0]
 
     def take_step(i1: int, i2: int) -> bool:
-        nonlocal b, f
+        nonlocal b, f, nonbound, y_nonbound
         if i1 == i2:
             return False
-        a1o, a2o = alpha.item(i1), alpha.item(i2)
-        y1, y2 = y.item(i1), y.item(i2)
+        a1o, a2o = alpha_l[i1], alpha_l[i2]
+        y1, y2 = y_l[i1], y_l[i2]
         f1, f2 = f.item(i1), f.item(i2)
         e1 = f1 + b - y1
         e2 = f2 + b - y2
@@ -137,7 +154,7 @@ def solve_binary_smo(
             lo, hi = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
         if hi - lo < _STEP_EPS:
             return False
-        k11, k12, k22 = K.item(i1, i1), K.item(i1, i2), K.item(i2, i2)
+        k11, k12, k22 = diag_l[i1], K.item(i1, i2), diag_l[i2]
         eta = k11 + k22 - 2.0 * k12
         if eta > _STEP_EPS:
             a2 = a2o + y2 * (e1 - e2) / eta
@@ -169,62 +186,76 @@ def solve_binary_smo(
         else:
             b = 0.5 * (b1 + b2)
         f += d1 * K[:, i1] + d2 * K[:, i2]
-        alpha[i1] = a1
-        alpha[i2] = a2
+        alpha[i1] = alpha_l[i1] = a1
+        alpha[i2] = alpha_l[i2] = a2
+        free1, free2 = 0.0 < a1 < C, 0.0 < a2 < C
+        if free1 != (0.0 < a1o < C) or free2 != (0.0 < a2o < C):
+            free[i1], free[i2] = free1, free2
+            nonbound = np.flatnonzero(free)
+            y_nonbound = y[nonbound]
         return True
 
-    def may_step(i2: int, e2: float, errors: np.ndarray) -> np.ndarray:
+    def may_step(i2: int, e2: float) -> np.ndarray:
         # take_step(i1, i2)'s rejection tests for every i1 at once, with the
         # same arithmetic: False only where take_step must return False.
         # Non-positive curvature is left to take_step.
-        a2o, y2 = alpha.item(i2), y.item(i2)
-        same = y * y2 > 0
-        lo = np.where(same, np.maximum(0.0, alpha + a2o - C), np.maximum(0.0, a2o - alpha))
-        hi = np.where(same, np.minimum(C, alpha + a2o), np.minimum(C, C + a2o - alpha))
-        eta = diag + K.item(i2, i2) - 2.0 * K[:, i2]
-        curved = eta > _STEP_EPS
+        a2o, y2 = alpha_l[i2], y_l[i2]
+        errors = f + b - y
+        same = same_label[y2]
+        pair_sum = alpha + a2o
+        lo = np.where(same, np.maximum(0.0, pair_sum - C), np.maximum(0.0, a2o - alpha))
+        hi = np.where(same, np.minimum(C, pair_sum), np.minimum(C, C + a2o - alpha))
+        # The pair curvature per call: an n x n table of it would cost
+        # as much memory as the Gram block.
+        eta = diag + diag_l[i2] - 2.0 * K[:, i2]
         with np.errstate(all="ignore"):
             a2 = np.minimum(np.maximum(a2o + y2 * (errors - e2) / eta, lo), hi)
         tiny = np.abs(a2 - a2o) < _STEP_EPS * (a2 + a2o + _STEP_EPS)
-        ok = ~((hi - lo < _STEP_EPS) | (curved & tiny))
+        ok = ~((hi - lo < _STEP_EPS) | ((eta > _STEP_EPS) & tiny))
         ok[i2] = False
         return ok
 
     def examine(i2: int) -> bool:
-        y2, a2 = y.item(i2), alpha.item(i2)
+        y2, a2 = y_l[i2], alpha_l[i2]
         e2 = f.item(i2) + b - y2
         r2 = e2 * y2
         if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0)):
             return False
-        errors = f + b - y
-        free = (alpha > 0) & (alpha < C)
-        nonbound = np.flatnonzero(free)
-        if nonbound.size > 1:
-            i1 = int(nonbound[np.argmax(np.abs(errors[nonbound] - e2))])
+        # take_step rebinds nonbound when the free set changes, but only on
+        # success, which ends this call.
+        candidates, i1 = nonbound, i2
+        if candidates.size > 1:
+            # |E_j - e2| over the free points, in place: ((f + b) - y) - e2.
+            gaps = f[candidates]
+            gaps += b
+            gaps -= y_nonbound
+            gaps -= e2
+            i1 = int(candidates[np.abs(gaps, out=gaps).argmax()])
             if take_step(i1, i2):
                 return True
-            nonbound = nonbound[nonbound != i1]
-        for i1 in nonbound[nonbound != i2]:
-            if take_step(int(i1), i2):
+        for j in candidates.tolist():
+            if j != i1 and j != i2 and take_step(j, i2):
                 return True
         # Every free point failed above and failed steps change nothing, so
         # the full scan needs only the bound points the step test keeps.
-        for i1 in np.flatnonzero(may_step(i2, e2, errors) & ~free):
-            if take_step(int(i1), i2):
+        for j in np.flatnonzero(may_step(i2, e2) & ~free).tolist():
+            if take_step(j, i2):
                 return True
         return False
 
     converged = False
     examine_all = True
     for _ in range(cfg.max_passes):
-        targets = range(n) if examine_all else np.flatnonzero((alpha > 0) & (alpha < C))
-        changed = sum(examine(int(i)) for i in targets)
+        changed = False
+        for i in range(n) if examine_all else nonbound.tolist():
+            if examine(i):
+                changed = True
         if examine_all:
-            if changed == 0:
+            if not changed:
                 converged = True
                 break
             examine_all = False
-        elif changed == 0:
+        elif not changed:
             examine_all = True
     if not converged:
         warnings.warn(
@@ -419,15 +450,17 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
     with ModelFormatError before they can fail inside ``predict``."""
     if doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"unrecognized model format {doc.get('format')!r}")
-    kernel = doc["kernel"]
-    fm = FeatureMapConfig(**kernel["feature_map"])
-    kcfg = KernelConfig(
-        mode=kernel["mode"],
-        feature_map=fm,
-        shots=kernel["shots"],
-        seed=kernel["seed"],
-        gamma=kernel["gamma"],
-    )
+    try:
+        kernel = doc["kernel"]
+        kcfg = KernelConfig(
+            mode=kernel["mode"],
+            feature_map=FeatureMapConfig(**kernel["feature_map"]),
+            shots=kernel["shots"],
+            seed=kernel["seed"],
+            gamma=kernel["gamma"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"invalid kernel section: {exc!r}") from exc
     binary_models = [
         BinaryModel(
             label_pair=tuple(bm["label_pair"]),

@@ -179,6 +179,17 @@ class TestStatevectors:
         else:
             assert np.max(np.abs(batched - reference)) <= 1e-15
 
+    @pytest.mark.parametrize("width, entanglement", [(2, "full"), (3, "full"), (4, "linear")])
+    def test_stacked_rows_equal_per_part_calls_bit_for_bit(self, width, entanglement):
+        # kernels._block builds both sides of a rectangular block in one call
+        # and splits it, which relies on every row being computed on its own.
+        cfg = FeatureMapConfig(width, 2, entanglement)
+        rng = np.random.default_rng(width)
+        parts = [rng.uniform(-2 * math.pi, 2 * math.pi, size=(m, width)) for m in (1, 7, 30)]
+        stacked = statevectors(np.concatenate(parts), cfg)
+        per_part = np.concatenate([statevectors(p, cfg) for p in parts])
+        assert stacked.tobytes() == per_part.tobytes()
+
     def test_width_must_match_map(self):
         with pytest.raises(DimensionError):
             statevectors([[0.1, 0.2, 0.3]], FM2)

@@ -216,6 +216,18 @@ class TestGramRectangular:
         with pytest.raises(DimensionError):
             gram_rectangular([[0.1, 0.2]], [[0.1, 0.2, 0.3]], KernelConfig(mode=RBF, gamma=1.0))
 
+    def test_exact_single_rows_equal_bulk_block_bytes(self):
+        # Scaled T1 test points against scaled T0 training points, the
+        # phase-1 prediction block: a point's kernel row must not depend on
+        # the batch it came in.
+        t0, t1 = generate_synthetic("T0_SHAPE", seed=0), generate_synthetic("T1_SHAPE", seed=0)
+        scaler = fit_scaler(t0)
+        X_train, X_test = apply_scaler(scaler, t0), apply_scaler(scaler, t1)
+        cfg = KernelConfig(mode=FIDELITY_EXACT)
+        bulk = gram_rectangular(X_test, X_train, cfg).values
+        for i, x in enumerate(X_test):
+            assert gram_rectangular([x], X_train, cfg).values.tobytes() == bulk[i].tobytes()
+
 
 class TestInvariants:
     def test_exact_gram_positive_semidefinite(self):

@@ -412,10 +412,37 @@ def test_corrupted_model_rejected_at_load(tmp_path, corruption):
         load_model(path)
 
 
-def _pair_blocks(presets, kcfg):
+def _without(section: dict, key: str) -> dict:
+    return {k: v for k, v in section.items() if k != key}
+
+
+KERNEL_CORRUPTIONS = {
+    "fractional shots": lambda k: {**k, "mode": FIDELITY_SAMPLED, "shots": 2.5},
+    "unknown mode": lambda k: {**k, "mode": "poly"},
+    "unknown feature_map key": lambda k: {**k, "feature_map": {**k["feature_map"], "depth": 3}},
+    "missing kernel key": lambda k: _without(k, "gamma"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(KERNEL_CORRUPTIONS))
+def test_corrupted_kernel_section_rejected_at_load(tmp_path, corruption):
+    model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG)
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    doc["kernel"] = KERNEL_CORRUPTIONS[corruption](doc["kernel"])
+    with pytest.raises(ModelFormatError, match="invalid kernel section"):
+        model_from_dict(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="invalid kernel section"):
+        load_model(path)
+
+
+def _pair_blocks(presets, kcfg, seeds=(0,), stride=1):
     """The one-vs-one pair problems (Gram block, +/-1 labels) that train_ovo
-    solves on the scaled, pooled presets at data seed 0."""
-    data = [generate_synthetic(p, seed=0) for p in presets]
+    solves on every ``stride``-th row of the presets, pooled over the data
+    seeds (seed-major) and scaled."""
+    data = [Dataset(samples=generate_synthetic(p, seed=s).samples[::stride])
+            for s in seeds for p in presets]
     pooled = Dataset(samples=[s for d in data for s in d.samples])
     X = apply_scaler(fit_scaler(pooled), pooled)
     if kcfg.mode == RBF:
@@ -453,6 +480,10 @@ GOLDEN_PROBLEMS = {
     "rbf T0+T1": (("T0_SHAPE", "T1_SHAPE"), KernelConfig(mode=RBF)),
     "exact T0": (("T0_SHAPE",), KernelConfig(mode=FIDELITY_EXACT)),
     "sampled T0 8 shots": (("T0_SHAPE",), KernelConfig(mode=FIDELITY_SAMPLED, shots=8, seed=0)),
+    # The benchmark's rbf_pool training set: every 6th row of T0+T1+T2 over
+    # data seeds 0-3, 212 points. Its 84-point NLOS/LOS_NLOS problem is the
+    # slowest pair problem of the benchmark.
+    "rbf pool": (("T0_SHAPE", "T1_SHAPE", "T2_SHAPE"), KernelConfig(mode=RBF), range(4), 6),
 }
 
 # sha256 of every block's bytes and labels. The model digests below hold for
@@ -462,6 +493,7 @@ GOLDEN_INPUTS = {
     "rbf T0+T1": "1688b6318ed6739f01025fd8290f54405cfd4cc159c128a20bdebef1905547bc",
     "exact T0": "e76b8db36d7e7c8b3c6091337280e51beb677143486fea61fd82a8939562b14e",
     "sampled T0 8 shots": "1a510133d12edd95817eb92546ba9ad18f7351edbc058e1eaa05d677794cc85d",
+    "rbf pool": "5e283d835d5f5102b28eb38d5fee81c7375ea5eab097df39155794ef3e254c6e",
 }
 
 # (problem, C, max_passes) -> sha256 over each pair model's alpha bytes,
@@ -481,6 +513,10 @@ GOLDEN_DIGESTS = {
         "43ae54ab2f3601a34665d23ea603c9cab88ebd2541c2ff69f5021d8d3947683e",
     ("sampled T0 8 shots", 10.0, 10_000):
         "08df701dcbc6c25f51fb3f084d920411fee66f4a256d69090ebffc60a9942644",
+    ("rbf pool", 0.1, 10_000): "82256c78a969212dce0ed41afd9875da42334b89e6b280bd5bfc42f668d02cf8",
+    ("rbf pool", 1.0, 10_000): "ca80b525a346585a748937107779414683c75f27641b2db061b7923b930cc80c",
+    ("rbf pool", 10.0, 10_000): "9cb866bdddd4d4c98d7e1b9220d9a3f02acb291a98f20ecb8518d2a4cdf2c58f",
+    ("rbf pool", 1.0, 1): "f44e214a929934a63eb44553c0a7c2a0d2ce1e65baa421065e9c7322bec9f094",
 }
 
 
