@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import (
@@ -157,54 +157,38 @@ def run_experiment(config: ExperimentConfig):
 
 def _add_data_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--train", nargs="+", required=True, metavar="SRC",
+        "--train", nargs="+", required=True, metavar="SRC", dest="train_sources",
         help=f"training CSV path(s) or preset name(s) {PRESETS}; "
         "multiple sources concatenate",
     )
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int,
                         help="seed for synthetic presets and sampled kernels")
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=MODELS, default="qsvm",
+    parser.add_argument("--model", choices=MODELS,
                         help="qsvm = fidelity quantum kernel, svm = RBF baseline")
-    parser.add_argument("--kernel", choices=KERNELS, default="exact",
-                        help="fidelity evaluation mode for qsvm")
-    parser.add_argument("--shots", type=int, default=1000,
-                        help="shots per kernel entry in sampled mode")
-    parser.add_argument("--scale-lo", type=float, default=0.0,
+    parser.add_argument("--kernel", choices=KERNELS, help="fidelity evaluation mode for qsvm")
+    parser.add_argument("--shots", type=int, help="shots per kernel entry in sampled mode")
+    parser.add_argument("--scale-lo", type=float,
                         help="lower end of the feature scaling range")
-    parser.add_argument("--scale-hi", type=float, default=1.0,
+    parser.add_argument("--scale-hi", type=float,
                         help="upper end of the feature scaling range")
     parser.add_argument("--raw", action="store_true",
                         help="skip feature scaling (raw dB / degree units)")
-    parser.add_argument("--C", type=float, default=1.0, help="soft-margin penalty")
-    parser.add_argument("--tolerance", type=float, default=1e-3,
-                        help="SMO KKT tolerance")
-    parser.add_argument("--reps", type=int, default=2,
+    parser.add_argument("--C", type=float, help="soft-margin penalty")
+    parser.add_argument("--tolerance", type=float, help="SMO KKT tolerance")
+    parser.add_argument("--reps", type=int, dest="repetitions",
                         help="feature map repetitions")
-    parser.add_argument("--gamma", type=float, default=None,
+    parser.add_argument("--gamma", type=float,
                         help="RBF gamma; defaults to 1/(n_features * pooled variance)")
 
 
-def _config_from_args(args, train_sources, test_source) -> ExperimentConfig:
-    return ExperimentConfig(
-        train_sources=train_sources,
-        test_source=test_source,
-        model=args.model,
-        kernel=args.kernel,
-        shots=args.shots,
-        seed=args.seed,
-        scale_lo=args.scale_lo,
-        scale_hi=args.scale_hi,
-        raw=args.raw,
-        C=args.C,
-        tolerance=args.tolerance,
-        repetitions=args.reps,
-        gamma=args.gamma,
-        grid_resolution=getattr(args, "grid_resolution", None),
-        outdir=getattr(args, "outdir", None) or os.environ.get(OUTPUT_DIR_ENV, "."),
-    )
+def _config_from_args(args, **fixed) -> ExperimentConfig:
+    """The config from the options given, with ``ExperimentConfig``'s own
+    defaults for the rest."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names}, **fixed)
 
 
 def _cmd_synth(args) -> int:
@@ -215,7 +199,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    model, scaler = fit_pipeline(_config_from_args(args, args.train, test_source=""))
+    model, scaler = fit_pipeline(_config_from_args(args, test_source=""))
     save_model(model, args.out, scaler)
     print(f"trained on {len(model.training_features)} samples; model saved to {args.out}")
     return 0
@@ -263,8 +247,7 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = _config_from_args(args, args.train, args.test)
-    report, artifacts = run_experiment(config)
+    report, artifacts = run_experiment(_config_from_args(args))
     print(f"accuracy {report.accuracy:.4f} on {report.n_total} samples")
     for name, path in artifacts.items():
         print(f"  {name}: {path}")
@@ -285,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a model and save it as JSON")
+    # The pipeline's defaults live in ExperimentConfig alone: an option not
+    # given leaves no attribute, so _config_from_args passes only the given.
+    p = sub.add_parser("train", help="train a model and save it as JSON",
+                       argument_default=argparse.SUPPRESS)
     _add_data_options(p)
     _add_model_options(p)
     p.add_argument("--out", required=True, help="model JSON path")
@@ -309,15 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_boundary)
 
-    p = sub.add_parser("experiment", help="full train/test pipeline with artifacts")
+    p = sub.add_parser("experiment", help="full train/test pipeline with artifacts",
+                       argument_default=argparse.SUPPRESS)
     _add_data_options(p)
     _add_model_options(p)
-    p.add_argument("--test", required=True, metavar="SRC",
+    p.add_argument("--test", required=True, metavar="SRC", dest="test_source",
                    help="test CSV path or preset name")
-    p.add_argument("--grid-resolution", type=int, default=None,
+    p.add_argument("--grid-resolution", type=int,
                    help="also export a decision-boundary grid at this resolution")
-    p.add_argument("--outdir", default=None,
-                   help=f"output directory (default: ${OUTPUT_DIR_ENV} or .)")
+    p.add_argument("--outdir", help=f"output directory (default: ${OUTPUT_DIR_ENV} or .)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

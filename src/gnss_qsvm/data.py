@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CsvParseError, DegenerateDataError
-from .sim import mask_seed
 
 LABELS = ("LOS", "NLOS", "LOS_NLOS")
 
@@ -35,6 +34,8 @@ _PRESET_COUNTS = {
     T1_SHAPE: {"LOS": 23, "NLOS": 10, "LOS_NLOS": 8},
     T2_SHAPE: {"LOS": 80, "NLOS": 10, "LOS_NLOS": 30},
 }
+
+_U64 = (1 << 64) - 1
 
 # label -> (cn0 mean, cn0 std, elevation low, elevation high)
 _CLASS_DISTRIBUTIONS = {
@@ -75,12 +76,6 @@ class Dataset:
 
     def labels(self) -> list[str]:
         return [s.label for s in self.samples]
-
-    def class_counts(self) -> dict[str, int]:
-        counts = {label: 0 for label in LABELS}
-        for s in self.samples:
-            counts[s.label] += 1
-        return counts
 
 
 @dataclass(eq=False)
@@ -169,6 +164,14 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
     span = params.data_max - params.data_min
     scale = (params.target_hi - params.target_lo) / span
     return params.target_lo + (X - params.data_min) * scale
+
+
+def mask_seed(seed: int) -> int:
+    """Map an arbitrary Python int (negatives included) onto the unsigned
+    64-bit range of numpy's ``SeedSequence``, which seeds every PCG64
+    generator of the package: ``generate_synthetic`` here, and the per-entry
+    seeds of the sampled kernels."""
+    return int(seed) & _U64
 
 
 def generate_synthetic(preset: str, seed: int = 0) -> Dataset:

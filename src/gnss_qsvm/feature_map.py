@@ -22,6 +22,14 @@ from .sim import (_SQRT1_2, MAX_QUBITS, Circuit, QuantumState, cnot, hadamard, p
 ENTANGLEMENTS = ("full", "linear")
 
 
+def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
+    """The check of every integer setting of the configs: ``bool`` and
+    non-integers are rejected, numpy integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class FeatureMapConfig:
     num_features: int
@@ -29,12 +37,8 @@ class FeatureMapConfig:
     entanglement: str = "full"
 
     def __post_init__(self):
-        if not 1 <= self.num_features <= MAX_QUBITS:
-            raise ValueError(
-                f"num_features must be in [1, {MAX_QUBITS}], got {self.num_features}"
-            )
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        _check_int(self.num_features, "num_features", 1, MAX_QUBITS)
+        _check_int(self.repetitions, "repetitions", 1)
         if self.entanglement not in ENTANGLEMENTS:
             raise ValueError(
                 f"entanglement must be one of {ENTANGLEMENTS}, got "
@@ -49,30 +53,6 @@ class FeatureMapConfig:
         return [(i, i + 1) for i in range(n - 1)]
 
 
-@dataclass(eq=False)
-class PhaseSet:
-    """Data-derived phases: one per qubit, one per unordered qubit pair."""
-
-    single: np.ndarray
-    pairwise: dict[tuple[int, int], float]
-
-
-def compute_phases(x) -> PhaseSet:
-    """phi_i = x_i and phi_ij = (pi - x_i) * (pi - x_j) for all i < j."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"feature vector must be 1-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature values must be finite")
-    n = x.shape[0]
-    pairwise = {
-        (i, j): float((math.pi - x[i]) * (math.pi - x[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    return PhaseSet(single=x.copy(), pairwise=pairwise)
-
-
 def build_circuit(x, config: FeatureMapConfig) -> Circuit:
     """Feature map circuit for ``x``; deterministic gate-for-gate."""
     x = np.asarray(x, dtype=float)
@@ -80,17 +60,18 @@ def build_circuit(x, config: FeatureMapConfig) -> Circuit:
         raise DimensionError(
             f"expected {config.num_features} feature(s), got shape {x.shape}"
         )
-    phases = compute_phases(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("feature values must be finite")
     n = config.num_features
     gates = []
     for _ in range(config.repetitions):
         for q in range(n):
             gates.append(hadamard(q))
         for q in range(n):
-            gates.append(phase(2.0 * phases.single[q], q))
+            gates.append(phase(2.0 * x[q], q))
         for i, j in config.pairs():
             gates.append(cnot(i, j))
-            gates.append(phase(2.0 * phases.pairwise[(i, j)], j))
+            gates.append(phase(2.0 * ((math.pi - x[i]) * (math.pi - x[j])), j))
             gates.append(cnot(i, j))
     return Circuit(n, gates)
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import mask_seed
 from .errors import DegenerateDataError, DimensionError
-from .feature_map import FeatureMapConfig, statevectors
-from .sim import mask_seed
+from .feature_map import FeatureMapConfig, _check_int, statevectors
 
 FIDELITY_EXACT = "fidelity_exact"
 FIDELITY_SAMPLED = "fidelity_sampled"
@@ -44,12 +44,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U32 = (1 << 32) - 1
 _U128 = (1 << 128) - 1
-
-
-def _check_shots(shots) -> None:
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) \
-            or not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be an integer in [1, {MAX_SHOTS}], got {shots!r}")
 
 
 def _check_gamma(gamma) -> None:
@@ -69,7 +63,8 @@ class KernelConfig:
         if self.mode not in KERNEL_MODES:
             raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
         if self.mode == FIDELITY_SAMPLED:
-            _check_shots(self.shots)
+            _check_int(self.shots, "shots", 1, MAX_SHOTS)
+        _check_int(self.seed, "seed")
         if self.gamma is not None:
             _check_gamma(self.gamma)
 
@@ -187,7 +182,7 @@ def fidelity_exact(x, y, fm: FeatureMapConfig) -> float:
 def fidelity_sampled(x, y, fm: FeatureMapConfig, shots: int, seed: int) -> float:
     """Shot estimate of the fidelity: fraction of all-zeros outcomes when
     sampling the compute-uncompute circuit."""
-    _check_shots(shots)
+    _check_int(shots, "shots", 1, MAX_SHOTS)
     p = np.array([fidelity_exact(x, y, fm)])
     return float(_shot_estimates(p, np.array([mask_seed(seed)], dtype=np.uint64), shots)[0])
 
@@ -284,9 +279,3 @@ def gram_rectangular(X_test, X_train, cfg: KernelConfig) -> KernelMatrix:
     K = _block(X_test, X_train, cfg)
     return KernelMatrix(rows=K.shape[0], cols=K.shape[1], values=K, symmetric=False)
 
-
-def save_kernel_csv(matrix: KernelMatrix, path) -> None:
-    """Write the full matrix row-major, 17 significant digits per entry."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix.values:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -4,13 +4,9 @@ Basis convention is little-endian: qubit 0 is the least-significant bit of
 the amplitude index, so for two qubits |01> (qubit 0 set, qubit 1 clear)
 sits at index 1.
 
-The kernels do not run this simulator: they take their states from the
-batched engine ``feature_map.statevectors``, which applies the same gate
-arithmetic to many samples at once, and draw shot noise as a binomial on the
-exact overlap. The simulator stays as the gate-by-gate reference that the
-tests check that engine against. :func:`mask_seed` maps any seed onto the
-range of numpy's ``SeedSequence``, which seeds every PCG64 generator of the
-package (see :func:`mask_seed` for how each consumer uses it).
+The package does not run this simulator: the kernels take their states from
+the batched engine ``feature_map.statevectors``. It is the gate-by-gate
+reference that the tests check that engine against.
 """
 
 from __future__ import annotations
@@ -26,22 +22,8 @@ MAX_QUBITS = 10
 NORM_TOL = 1e-10
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-_U64 = (1 << 64) - 1
 
 GATE_KINDS = ("H", "PHASE", "CX")
-
-
-def mask_seed(seed: int) -> int:
-    """Map an arbitrary Python int (negatives included) onto the unsigned
-    64-bit range SeedSequence accepts, deterministically.
-
-    ``data.generate_synthetic`` seeds ``default_rng`` with it directly. The
-    sampled kernels build no ``SeedSequence`` or ``Generator`` per entry:
-    they evaluate numpy's ``SeedSequence`` hash over a whole block of masked
-    seeds at once and draw with one reused generator, giving the same values
-    as ``default_rng(mask_seed(seed))`` and ``default_rng(pair_seed(...))``.
-    """
-    return int(seed) & _U64
 
 
 @dataclass(frozen=True)
@@ -86,6 +68,11 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("CX", target, control=control)
 
 
+def _check_width(num_qubits: int) -> None:
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+
+
 @dataclass(eq=False)
 class QuantumState:
     """Unit-norm dense amplitude vector over ``num_qubits`` qubits."""
@@ -94,10 +81,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
-            )
+        _check_width(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex)
         dim = 1 << self.num_qubits
         if amps.shape != (dim,):
@@ -125,24 +109,14 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
-            )
+        _check_width(self.num_qubits)
         self.gates = list(self.gates)
         for gate in self.gates:
-            _check_gate(gate, self.num_qubits)
-
-
-def _check_gate(gate: Gate, num_qubits: int) -> None:
-    if gate.target >= num_qubits:
-        raise InvalidGateError(
-            f"target {gate.target} out of range for {num_qubits} qubit(s)"
-        )
-    if gate.control is not None and gate.control >= num_qubits:
-        raise InvalidGateError(
-            f"control {gate.control} out of range for {num_qubits} qubit(s)"
-        )
+            for role, qubit in (("target", gate.target), ("control", gate.control)):
+                if qubit is not None and qubit >= self.num_qubits:
+                    raise InvalidGateError(
+                        f"{role} {qubit} out of range for {self.num_qubits} qubit(s)"
+                    )
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
@@ -164,14 +138,6 @@ def _apply_inplace(amps: np.ndarray, gate: Gate) -> None:
         src = idx[((idx & c_mask) != 0) & ((idx & t_mask) == 0)]
         dst = src | t_mask
         amps[src], amps[dst] = amps[dst], amps[src]
-
-
-def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
-    """Apply one gate and return the resulting state; the input is untouched."""
-    _check_gate(gate, state.num_qubits)
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, gate)
-    return QuantumState(state.num_qubits, amps)
 
 
 def run_circuit(circuit: Circuit, initial: QuantumState) -> QuantumState:

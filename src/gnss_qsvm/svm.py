@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .feature_map import FeatureMapConfig
 from .kernels import (
     RBF,
     KernelConfig,
-    KernelMatrix,
     check_features,
     default_gamma,
     gram_rectangular,
@@ -112,7 +111,7 @@ def solve_binary_smo(
     Non-convergence within max_passes sweeps yields a best-effort model
     flagged converged=False.
     """
-    K = gram.values if isinstance(gram, KernelMatrix) else np.asarray(gram, dtype=float)
+    K = np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if K.shape != (n, n):
@@ -309,17 +308,6 @@ def _final_bias(alpha: np.ndarray, y: np.ndarray, f: np.ndarray, C: float) -> fl
     return 0.0
 
 
-def decision_value(model: BinaryModel, kernel_row) -> float:
-    """sum_i alpha_i y_i k(x, x_i) + bias for one test point."""
-    kernel_row = np.asarray(kernel_row, dtype=float)
-    if kernel_row.shape != model.alpha.shape:
-        raise DimensionError(
-            f"kernel row has length {kernel_row.shape[0]}, expected "
-            f"{model.alpha.shape[0]}"
-        )
-    return float((model.alpha * model.y) @ kernel_row + model.bias)
-
-
 def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> SvmModel:
     """Train one binary model per unordered class pair on the pair's
     sub-block of the full training Gram matrix."""
@@ -346,7 +334,7 @@ def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> Sv
     if kcfg.mode == RBF and kcfg.gamma is None:
         kcfg = replace(kcfg, gamma=default_gamma(X))
 
-    gram = gram_symmetric(X, kcfg)
+    gram = gram_symmetric(X, kcfg).values
     label_arr = np.array(labels, dtype=object)
     models = []
     for ai in range(len(classes)):
@@ -355,7 +343,7 @@ def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> Sv
             idx = np.flatnonzero((label_arr == a) | (label_arr == b))
             y = np.where(label_arr[idx] == a, 1.0, -1.0)
             models.append(solve_binary_smo(
-                gram.values[np.ix_(idx, idx)], y, cfg, label_pair=(a, b), training_indices=idx
+                gram[np.ix_(idx, idx)], y, cfg, label_pair=(a, b), training_indices=idx
             ))
     return SvmModel(
         classes=classes,
@@ -388,16 +376,8 @@ def predict(model: SvmModel, X) -> list:
     return [model.classes[w] for w in np.argmax(tied, axis=1)]
 
 
-def _feature_map_to_dict(fm: FeatureMapConfig) -> dict:
-    return {
-        "num_features": fm.num_features,
-        "repetitions": fm.repetitions,
-        "entanglement": fm.entanglement,
-    }
-
-
 def model_to_dict(model: SvmModel, scaler: ScalerParams | None = None) -> dict:
-    doc = {
+    return {
         "format": MODEL_FORMAT,
         "classes": list(model.classes),
         "binary_models": [
@@ -411,13 +391,7 @@ def model_to_dict(model: SvmModel, scaler: ScalerParams | None = None) -> dict:
             }
             for bm in model.binary_models
         ],
-        "kernel": {
-            "mode": model.kernel_config.mode,
-            "shots": model.kernel_config.shots,
-            "seed": model.kernel_config.seed,
-            "gamma": model.kernel_config.gamma,
-            "feature_map": _feature_map_to_dict(model.kernel_config.feature_map),
-        },
+        "kernel": asdict(model.kernel_config),
         "training_features": model.training_features.tolist(),
         "scaler": None
         if scaler is None
@@ -428,7 +402,6 @@ def model_to_dict(model: SvmModel, scaler: ScalerParams | None = None) -> dict:
             "target_hi": scaler.target_hi,
         },
     }
-    return doc
 
 
 def _check_binary_model(bm: BinaryModel, classes: list, n_train: int) -> None:

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gnss_qsvm.cli import ExperimentConfig, fit_pipeline, main, run_experiment
-from gnss_qsvm.data import load_csv
+from gnss_qsvm.cli import ExperimentConfig, build_parser, fit_pipeline, main, run_experiment
+from gnss_qsvm.data import apply_scaler, fit_scaler, generate_synthetic, load_csv
+from gnss_qsvm.kernels import FIDELITY_EXACT, KernelConfig, gram_symmetric
 from gnss_qsvm.svm import load_model, save_model
 
 
@@ -19,7 +23,7 @@ class TestSynth:
         out = tmp_path / "t1.csv"
         assert run_cli("synth", "--preset", "T1_SHAPE", "--seed", 3, "--out", out) == 0
         ds = load_csv(out)
-        assert ds.class_counts() == {"LOS": 23, "NLOS": 10, "LOS_NLOS": 8}
+        assert Counter(ds.labels()) == {"LOS": 23, "NLOS": 10, "LOS_NLOS": 8}
 
     def test_unknown_preset_fails(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -164,6 +168,93 @@ class TestExperiment:
         assert code == 1
         assert "gamma must be positive and finite" in capsys.readouterr().err
         assert not outdir.exists()
+
+
+# sha256 of every file each command writes, recorded before the CLI's
+# defaults were left to ExperimentConfig alone and before the model's kernel
+# section was written with dataclasses.asdict. A refactor must not move a
+# byte of them. The train command writes model.json; the others an outdir.
+ARTIFACT_DIGESTS = {
+    "exact T0+T1 -> T2, grid 20": (
+        ("experiment", "--train", "T0_SHAPE", "T1_SHAPE", "--test", "T2_SHAPE",
+         "--grid-resolution", 20),
+        {"confusion.csv": "a37f529ec7b0342d7066a98c3ae6ffe6749371cfb7d634b49c618fda5e19093f",
+         "grid.csv": "913f13176742d356cbb8cff82fd0e7640c9c6a8284acca18ef38d55beca2b29c",
+         "model.json": "252738d0a2b9c6bbcb0d204ff582cea7b9a09de0b742360928a459ff8a994720",
+         "report.json": "6a216ffbb49181a0fa29c046f7e1b8b6d97d4348f057b6317c5d395003e44f61"}),
+    "sampled T0 -> T1, 200 shots, seed 5": (
+        ("experiment", "--train", "T0_SHAPE", "--test", "T1_SHAPE", "--kernel", "sampled",
+         "--shots", 200, "--seed", 5),
+        {"confusion.csv": "9a25fc42183423528213846f63e1fd2c3f9eb4455992095cf33c372a8f526948",
+         "model.json": "f9f283833f491a0eb4881b8b19405431bf80c58b924ea03c14c3b031d6f427ac",
+         "report.json": "6fec3e79409bb91f3e9314dea1a8f52d10187f1c86a3b4f20a3bb78f9c543d6a"}),
+    "rbf T0+T1 -> T2, grid 10": (
+        ("experiment", "--train", "T0_SHAPE", "T1_SHAPE", "--test", "T2_SHAPE",
+         "--model", "svm", "--grid-resolution", 10),
+        {"confusion.csv": "46416e791b285f46de6ca1f2591a241983013022a0292b587d2b8ee25cd585ba",
+         "grid.csv": "3a5ab4b421e2e7fb4c295251c452a88aed825a0d4054c01ed0b7feb90b1acc37",
+         "model.json": "21db13028668f7258b3094e5c9a35ce9769014b22adfc05337857b89eee65f41",
+         "report.json": "35b390b936f5b625844a07ffc070f4c52699a96ccd9acdfd3f1d862c60102882"}),
+    "raw T0 -> T1": (
+        ("experiment", "--train", "T0_SHAPE", "--test", "T1_SHAPE", "--raw"),
+        {"confusion.csv": "ee0a054a84ba3ee9ef716ea5b93b3d9a0fd55ee7a4ef8fd9162ad830511375f8",
+         "model.json": "8c7cd9f1e865744c3b617b46dafe617bc4343f56b9d7ab9fa51d6d4f2627631f",
+         "report.json": "af99d783ae825b820c8db67a56e2ef0220a9fe2df69ce75fe68fced1ff129bda"}),
+    "T0 -> T1, non-default options": (
+        ("experiment", "--train", "T0_SHAPE", "--test", "T1_SHAPE", "--reps", 1, "--C", 0.5,
+         "--tolerance", "1e-2", "--scale-hi", "6.283185307179586"),
+        {"confusion.csv": "ee0a054a84ba3ee9ef716ea5b93b3d9a0fd55ee7a4ef8fd9162ad830511375f8",
+         "model.json": "beac8bf570f8d0262ad66a810aa5e17ea4522659ed3a92d935417106237b035f",
+         "report.json": "78365eb6225bec9cfb7453f9c9583ddbab676d7981664542c547feef8944defa"}),
+    "train sampled, 100 shots": (
+        ("train", "--train", "T0_SHAPE", "--kernel", "sampled", "--shots", 100),
+        {"model.json": "ac274a4c81761491d9c63016d6f2f722a253a1bef6fe3f125b1a5963fa9bc6bf"}),
+}
+
+# sha256 of the exact-kernel Gram of scaled T0 at data seed 0 on the platform
+# the digests above were recorded on; another platform's exp/cos may move an
+# overlap by an ulp, and then every artifact moves with it.
+EXACT_T0_GRAM = "67bd6b245ff4570cb927936ba9e23b60e042aff2dde9e0e3e0ddd60e00abf002"
+
+
+@pytest.fixture(scope="module")
+def recorded_platform():
+    t0 = generate_synthetic("T0_SHAPE", seed=0)
+    gram = gram_symmetric(apply_scaler(fit_scaler(t0), t0), KernelConfig(FIDELITY_EXACT))
+    if hashlib.sha256(gram.values.tobytes()).hexdigest() != EXACT_T0_GRAM:
+        pytest.skip("exact Gram bytes differ from those the digests were recorded on")
+
+
+@pytest.mark.parametrize("run", list(ARTIFACT_DIGESTS))
+def test_artifacts_match_recorded_digests(tmp_path, recorded_platform, run):
+    argv, digests = ARTIFACT_DIGESTS[run]
+    out = ("--out", tmp_path / "model.json") if argv[0] == "train" else ("--outdir", tmp_path)
+    assert run_cli(*argv, *out) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == digests
+
+
+class TestDefaults:
+    """ExperimentConfig is the one home of the pipeline's defaults."""
+
+    def test_every_config_field_is_an_experiment_option(self):
+        command = next(a for a in build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in command.choices["experiment"]._actions}
+        missing = {f.name for f in fields(ExperimentConfig)} - dests
+        assert not missing
+
+    def test_experiment_without_model_options_echoes_config_defaults(self, tmp_path):
+        assert run_cli("experiment", "--train", "T1_SHAPE", "--test", "T1_SHAPE",
+                       "--outdir", tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"] == ExperimentConfig(["T1_SHAPE"], "T1_SHAPE").echo()
+
+    def test_train_without_model_options_uses_config_defaults(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        assert run_cli("train", "--train", "T1_SHAPE", "--out", model_path) == 0
+        model, scaler = fit_pipeline(ExperimentConfig(["T1_SHAPE"], ""))
+        save_model(model, tmp_path / "direct.json", scaler)
+        assert (tmp_path / "direct.json").read_bytes() == model_path.read_bytes()
 
 
 class TestRunExperimentApi:

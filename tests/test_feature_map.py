@@ -7,7 +7,6 @@ from gnss_qsvm.errors import DimensionError
 from gnss_qsvm.feature_map import (
     FeatureMapConfig,
     build_circuit,
-    compute_phases,
     map_to_state,
     statevectors,
 )
@@ -30,30 +29,46 @@ GOLDEN_STATE_05_05 = np.array(
 )
 
 
+def _phases(x):
+    """phi_i per qubit and phi_ij per entangled pair, read back from the
+    PHASE angles 2*phi of one repetition of build_circuit."""
+    gates = build_circuit(x, FeatureMapConfig(num_features=len(x), repetitions=1)).gates
+    single, pairwise = [], {}
+    for before, gate in zip([None] + gates, gates):
+        if gate.kind == "PHASE" and before is not None and before.kind == "CX":
+            pairwise[(before.control, gate.target)] = gate.theta / 2
+        elif gate.kind == "PHASE":
+            single.append(gate.theta / 2)
+    return np.array(single), pairwise
+
+
 class TestComputePhases:
+    """The data-to-phase formulas of build_circuit: phi_i = x_i and
+    phi_ij = (pi - x_i) * (pi - x_j)."""
+
     def test_pi_inputs_zero_the_pair_phase(self):
-        ph = compute_phases([math.pi, math.pi])
-        assert np.allclose(ph.single, [math.pi, math.pi])
-        assert ph.pairwise[(0, 1)] == pytest.approx(0.0)
+        single, pairwise = _phases([math.pi, math.pi])
+        assert np.allclose(single, [math.pi, math.pi])
+        assert pairwise[(0, 1)] == pytest.approx(0.0)
 
     def test_zero_inputs_give_pi_squared(self):
-        ph = compute_phases([0.0, 0.0])
-        assert np.allclose(ph.single, [0.0, 0.0])
-        assert ph.pairwise[(0, 1)] == pytest.approx(math.pi**2)
+        single, pairwise = _phases([0.0, 0.0])
+        assert np.allclose(single, [0.0, 0.0])
+        assert pairwise[(0, 1)] == pytest.approx(math.pi**2)
 
     def test_half_inputs(self):
-        ph = compute_phases([0.5, 0.5])
-        assert ph.pairwise[(0, 1)] == pytest.approx((math.pi - 0.5) ** 2)
+        _, pairwise = _phases([0.5, 0.5])
+        assert pairwise[(0, 1)] == pytest.approx((math.pi - 0.5) ** 2)
 
     def test_one_entry_per_unordered_pair(self):
-        ph = compute_phases([0.1, 0.2, 0.3])
-        assert set(ph.pairwise) == {(0, 1), (0, 2), (1, 2)}
+        _, pairwise = _phases([0.1, 0.2, 0.3])
+        assert set(pairwise) == {(0, 1), (0, 2), (1, 2)}
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            compute_phases([0.1, math.nan])
+            build_circuit([0.1, math.nan], FM2)
         with pytest.raises(ValueError):
-            compute_phases([math.inf, 0.0])
+            build_circuit([math.inf, 0.0], FM2)
 
 
 class TestBuildCircuit:
@@ -143,6 +158,18 @@ class TestInvariants:
         assert FeatureMapConfig(num_features=MAX_QUBITS).num_features == MAX_QUBITS
         with pytest.raises(ValueError):
             FeatureMapConfig(num_features=MAX_QUBITS + 1)
+
+    @pytest.mark.parametrize("field", ["num_features", "repetitions"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2), True, "2"],
+                             ids=["2.5", "2.0", "float64", "True", "str"])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FeatureMapConfig(**{"num_features": 2, field: value})
+
+    @pytest.mark.parametrize("field", ["num_features", "repetitions"])
+    def test_integer_fields_accept_numpy_integers(self, field):
+        config = FeatureMapConfig(**{"num_features": 2, field: np.int64(3)})
+        assert getattr(config, field) == 3
 
 
 class TestStatevectors:

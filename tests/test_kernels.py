@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gnss_qsvm.data import Dataset, apply_scaler, fit_scaler, generate_synthetic
+from gnss_qsvm.data import Dataset, apply_scaler, fit_scaler, generate_synthetic, mask_seed
 from gnss_qsvm.errors import DegenerateDataError, DimensionError
 from gnss_qsvm.feature_map import FeatureMapConfig, map_to_state
 from gnss_qsvm.kernels import (
@@ -23,9 +23,8 @@ from gnss_qsvm.kernels import (
     gram_symmetric,
     pair_seed,
     rbf,
-    save_kernel_csv,
 )
-from gnss_qsvm.sim import inner_product, mask_seed
+from gnss_qsvm.sim import inner_product
 
 from oracles import second_order_map_unitary
 
@@ -285,18 +284,6 @@ class TestKernelConfig:
             KernelConfig(mode=RBF, gamma=-1.0)
 
 
-def test_csv_export_round_trips_at_17_digits(tmp_path):
-    rng = np.random.default_rng(17)
-    X = rng.uniform(0, 1, size=(4, 2))
-    km = gram_symmetric(X, KernelConfig(mode=FIDELITY_EXACT))
-    path = tmp_path / "gram.csv"
-    save_kernel_csv(km, path)
-    loaded = np.array(
-        [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()]
-    )
-    assert np.array_equal(loaded, km.values)
-
-
 @pytest.mark.parametrize("kernel", [
     lambda x, y: fidelity_exact(x, y, FM2),
     lambda x, y: fidelity_sampled(x, y, FM2, 16, 0),
@@ -437,6 +424,18 @@ def test_shots_must_be_an_int_in_range(shots):
         KernelConfig(mode=FIDELITY_SAMPLED, shots=shots)
     with pytest.raises(ValueError, match="shots must be an integer"):
         fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, shots, seed=0)
+
+
+@pytest.mark.parametrize("mode", [FIDELITY_EXACT, FIDELITY_SAMPLED, RBF])
+@pytest.mark.parametrize("seed", [2.5, 3.0, True, "x", None])
+def test_seed_must_be_an_int(mode, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        KernelConfig(mode=mode, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-(2**70), -1, np.int64(5), np.uint64(2**64 - 1), 2**70])
+def test_any_integer_seed_accepted(seed):
+    assert KernelConfig(mode=FIDELITY_SAMPLED, seed=seed).seed == seed
 
 
 @pytest.mark.parametrize("shots", [1, np.int64(16), MAX_SHOTS])

@@ -8,7 +8,6 @@ from gnss_qsvm.sim import (
     Circuit,
     Gate,
     QuantumState,
-    apply_gate,
     cnot,
     hadamard,
     inner_product,
@@ -36,6 +35,11 @@ def random_gate(num_qubits: int, rng) -> Gate:
     if control >= target:
         control += 1
     return cnot(control, target)
+
+
+def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
+    """One gate, as a one-gate circuit."""
+    return run_circuit(Circuit(state.num_qubits, [gate]), state)
 
 
 class TestApplyGate:

@@ -18,7 +18,6 @@ from gnss_qsvm.kernels import (
     FIDELITY_SAMPLED,
     RBF,
     KernelConfig,
-    KernelMatrix,
     default_gamma,
     gram_symmetric,
 )
@@ -26,7 +25,6 @@ from gnss_qsvm.svm import (
     BinaryModel,
     SvmConfig,
     SvmModel,
-    decision_value,
     dual_objective,
     load_model,
     model_from_dict,
@@ -39,7 +37,7 @@ from gnss_qsvm.svm import (
 
 from oracles import brute_force_dual_max, platt_smo
 
-IDENTITY_GRAM = KernelMatrix(2, 2, np.eye(2), symmetric=True)
+IDENTITY_GRAM = np.eye(2)
 
 # Hand-built separable toy set: two tight clusters far apart.
 TOY_X = np.array([[0.0, 0.0], [0.1, 0.1], [0.9, 0.9], [1.0, 1.0]])
@@ -141,28 +139,6 @@ class TestSvmConfig:
             SvmConfig(**{field: value})
 
 
-class TestDecisionValue:
-    def test_zero_coefficients_return_bias(self):
-        model = BinaryModel(
-            label_pair=(1, -1),
-            alpha=np.zeros(3),
-            y=np.array([1.0, -1.0, 1.0]),
-            bias=0.5,
-            training_indices=np.arange(3),
-        )
-        assert decision_value(model, [0.9, 0.1, 0.4]) == 0.5
-
-    def test_two_point_model_rows(self):
-        model = solve_binary_smo(IDENTITY_GRAM, [1, -1], SvmConfig(C=1.0))
-        assert decision_value(model, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-6)
-        assert decision_value(model, [0.0, 1.0]) == pytest.approx(-1.0, abs=1e-6)
-
-    def test_row_length_checked(self):
-        model = solve_binary_smo(IDENTITY_GRAM, [1, -1], SvmConfig())
-        with pytest.raises(DimensionError):
-            decision_value(model, [1.0, 0.0, 0.0])
-
-
 class TestTrainOvo:
     def test_three_classes_three_models(self):
         ds = generate_synthetic("T1_SHAPE", seed=2)
@@ -176,7 +152,7 @@ class TestTrainOvo:
         model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(C=10.0), RBF_CFG)
         assert len(model.binary_models) == 1
         direct = solve_binary_smo(
-            gram_symmetric(TOY_X, RBF_CFG),
+            gram_symmetric(TOY_X, RBF_CFG).values,
             np.where(np.array(TOY_LABELS) == "A", 1.0, -1.0),
             SvmConfig(C=10.0),
         )
@@ -421,6 +397,11 @@ KERNEL_CORRUPTIONS = {
     "unknown mode": lambda k: {**k, "mode": "poly"},
     "unknown feature_map key": lambda k: {**k, "feature_map": {**k["feature_map"], "depth": 3}},
     "missing kernel key": lambda k: _without(k, "gamma"),
+    "fractional repetitions": lambda k: {**k, "feature_map": {**k["feature_map"],
+                                                              "repetitions": 2.5}},
+    "fractional num_features": lambda k: {**k, "feature_map": {**k["feature_map"],
+                                                               "num_features": 2.5}},
+    "string seed": lambda k: {**k, "mode": FIDELITY_SAMPLED, "seed": "x"},
 }
 
 
