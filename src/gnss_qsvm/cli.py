@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import (
@@ -24,7 +24,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     write_csv,
-    SignalSample,
+    _check_int,
 )
 from .evaluate import (
     boundary_grid,
@@ -110,6 +110,7 @@ def fit_pipeline(config: ExperimentConfig) -> tuple[SvmModel, ScalerParams | Non
         raise ValueError(f"model must be one of {MODELS}, got {config.model!r}")
     if config.kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
+    _check_int(config.seed, "seed")
 
     train = _load_many(config.train_sources, config.seed)
     scaler = None if config.raw else fit_scaler(train, config.scale_lo, config.scale_hi)
@@ -125,8 +126,10 @@ def run_experiment(config: ExperimentConfig):
     predict -> write report.json, confusion.csv, model.json and, when a grid
     resolution is set, grid.csv. Returns (EvalReport, artifact path dict).
     """
-    if config.raw and config.grid_resolution is not None:
-        raise ValueError("boundary grids need scaled features; drop --raw")
+    if config.grid_resolution is not None:
+        if config.raw:
+            raise ValueError("boundary grids need scaled features; drop --raw")
+        _check_int(config.grid_resolution, "grid_resolution", 1)
 
     test = _load_source(config.test_source, config.seed)
     model, scaler = fit_pipeline(config)
@@ -213,13 +216,7 @@ def _predict_dataset(model_path, data_path):
 
 def _cmd_predict(args) -> int:
     _, dataset, predictions = _predict_dataset(args.model_path, args.data)
-    predicted = Dataset(
-        samples=[
-            SignalSample(s.cn0_diff, s.elevation, label)
-            for s, label in zip(dataset.samples, predictions)
-        ],
-        name=dataset.name,
-    )
+    predicted = Dataset([replace(s, label=label) for s, label in zip(dataset.samples, predictions)])
     write_csv(predicted, args.out)
     print(f"wrote {len(predicted)} predictions to {args.out}")
     return 0

@@ -23,6 +23,7 @@ from .errors import CsvParseError, DegenerateDataError
 LABELS = ("LOS", "NLOS", "LOS_NLOS")
 
 CSV_HEADER = ["cn0_diff", "elevation_deg", "label"]
+_FEATURES = ("cn0_diff", "elevation")  # the columns of Dataset.features()
 
 T0_SHAPE = "T0_SHAPE"
 T1_SHAPE = "T1_SHAPE"
@@ -85,6 +86,25 @@ class ScalerParams:
     target_lo: float = 0.0
     target_hi: float = 1.0
 
+    def __post_init__(self):
+        if not -math.inf < self.target_lo < self.target_hi < math.inf:
+            raise ValueError(f"target_hi must exceed target_lo, both finite, "
+                             f"got [{self.target_lo}, {self.target_hi}]")
+        if not self.data_min.shape == self.data_max.shape == (len(_FEATURES),):
+            raise ValueError(f"data_min and data_max must hold {len(_FEATURES)} values, "
+                             f"got shapes {self.data_min.shape} and {self.data_max.shape}")
+        for lo, hi, name in zip(self.data_min.tolist(), self.data_max.tolist(), _FEATURES):
+            if not -math.inf < lo < hi < math.inf:
+                raise DegenerateDataError(
+                    f"feature {name!r} has no finite range [{lo!r}, {hi!r}]; cannot scale")
+
+
+def _parse_float(text: str, column: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"unparsable {column} {text!r}") from None
+
 
 def load_csv(path) -> Dataset:
     """Parse a sample CSV; schema errors name the offending line."""
@@ -102,24 +122,11 @@ def load_csv(path) -> Dataset:
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != 3:
-            raise CsvParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         try:
-            cn0 = float(row[0])
-        except ValueError:
-            raise CsvParseError(
-                f"{path}:{lineno}: unparsable cn0_diff {row[0]!r}"
-            ) from None
-        try:
-            elevation = float(row[1])
-        except ValueError:
-            raise CsvParseError(
-                f"{path}:{lineno}: unparsable elevation_deg {row[1]!r}"
-            ) from None
-        if row[2] not in LABELS:
-            raise CsvParseError(f"{path}:{lineno}: unknown label {row[2]!r}")
-        try:
-            samples.append(SignalSample(cn0, elevation, row[2]))
+            if len(row) != 3:
+                raise ValueError(f"expected 3 columns, got {len(row)}")
+            samples.append(SignalSample(_parse_float(row[0], "cn0_diff"),
+                                        _parse_float(row[1], "elevation_deg"), row[2]))
         except ValueError as exc:
             raise CsvParseError(f"{path}:{lineno}: {exc}") from None
     if not samples:
@@ -139,19 +146,8 @@ def fit_scaler(train: Dataset, target_lo: float = 0.0, target_hi: float = 1.0) -
     """Record per-feature min/max from the training set only."""
     if not train.samples:
         raise ValueError("cannot fit a scaler on an empty dataset")
-    if not target_hi > target_lo:
-        raise ValueError(
-            f"target_hi must exceed target_lo, got [{target_lo}, {target_hi}]"
-        )
     X = train.features()
-    data_min = X.min(axis=0)
-    data_max = X.max(axis=0)
-    for col, name in enumerate(("cn0_diff", "elevation")):
-        if data_max[col] <= data_min[col]:
-            raise DegenerateDataError(
-                f"feature {name!r} is constant ({data_min[col]!r}); cannot scale"
-            )
-    return ScalerParams(data_min, data_max, float(target_lo), float(target_hi))
+    return ScalerParams(X.min(axis=0), X.max(axis=0), float(target_lo), float(target_hi))
 
 
 def apply_scaler(params: ScalerParams, data) -> np.ndarray:
@@ -166,11 +162,20 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
     return params.target_lo + (X - params.data_min) * scale
 
 
+def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
+    """The check of every integer setting: ``bool`` and non-integers are
+    rejected, numpy integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 def mask_seed(seed: int) -> int:
-    """Map an arbitrary Python int (negatives included) onto the unsigned
+    """Map an arbitrary integer (negatives included) onto the unsigned
     64-bit range of numpy's ``SeedSequence``, which seeds every PCG64
     generator of the package: ``generate_synthetic`` here, and the per-entry
-    seeds of the sampled kernels."""
+    seeds of the sampled kernels. A non-integer seed is rejected."""
+    _check_int(seed, "seed")
     return int(seed) & _U64
 
 

@@ -2,51 +2,43 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ScalerParams
-from .svm import SvmModel, predict
+from .data import ScalerParams, _check_int
+from .svm import SvmModel, _json_ready, _write_json, predict
 
 
 @dataclass(eq=False)
 class EvalReport:
-    accuracy: float
-    confusion: np.ndarray
+    confusion: np.ndarray  # rows = truth class, columns = predicted class
     classes: list
-    n_total: int
+
+    @property
+    def n_total(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def accuracy(self) -> float:
+        """Fraction of predictions matching the truth labels."""
+        return int(self.confusion.trace()) / self.n_total
 
 
 @dataclass(eq=False)
 class BoundaryGrid:
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    resolution: int
-    cells: np.ndarray  # cells[i][j] = label at (x centers[j], y centers[i])
-
-
-def accuracy(predictions, truth) -> float:
-    """Fraction of predictions matching the truth labels."""
-    predictions = list(predictions)
-    truth = list(truth)
-    if len(predictions) != len(truth):
-        raise ValueError(
-            f"{len(predictions)} prediction(s) vs {len(truth)} truth label(s)"
-        )
-    if not truth:
-        raise ValueError("cannot score an empty label set")
-    matches = sum(p == t for p, t in zip(predictions, truth))
-    return matches / len(truth)
+    span: tuple[float, float]  # (lo, hi) of both axes
+    cells: np.ndarray  # cells[i][j] = label at (centers[j], centers[i])
 
 
 def confusion(predictions, truth, classes) -> np.ndarray:
     """Count matrix with rows = truth class, columns = predicted class."""
-    classes = list(classes)
+    predictions, truth = list(predictions), list(truth)
+    if len(predictions) != len(truth):
+        raise ValueError(f"{len(predictions)} prediction(s) vs {len(truth)} truth label(s)")
     index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=int)
-    for p, t in zip(list(predictions), list(truth), strict=True):
+    matrix = np.zeros((len(index), len(index)), dtype=int)
+    for p, t in zip(predictions, truth):
         if t not in index:
             raise ValueError(f"truth label {t!r} not in class list")
         if p not in index:
@@ -56,13 +48,11 @@ def confusion(predictions, truth, classes) -> np.ndarray:
 
 
 def make_report(predictions, truth, classes) -> EvalReport:
-    matrix = confusion(predictions, truth, classes)
-    return EvalReport(
-        accuracy=accuracy(predictions, truth),
-        confusion=matrix,
-        classes=list(classes),
-        n_total=int(matrix.sum()),
-    )
+    """Score predictions against the truth; an empty label set is rejected."""
+    report = EvalReport(confusion(predictions, truth, classes), list(classes))
+    if not report.n_total:
+        raise ValueError("cannot score an empty label set")
+    return report
 
 
 def grid_centers(lo: float, hi: float, resolution: int) -> np.ndarray:
@@ -79,8 +69,7 @@ def boundary_grid(model: SvmModel, scaler: ScalerParams, resolution: int) -> Bou
             f"boundary grids need a 2-feature model, got "
             f"{model.training_features.shape[1]} feature(s)"
         )
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    _check_int(resolution, "resolution", 1)
     lo, hi = scaler.target_lo, scaler.target_hi
     centers = grid_centers(lo, hi, resolution)
     points = np.column_stack(
@@ -88,49 +77,30 @@ def boundary_grid(model: SvmModel, scaler: ScalerParams, resolution: int) -> Bou
     )
     labels = predict(model, points)
     cells = np.array(labels, dtype=object).reshape(resolution, resolution)
-    return BoundaryGrid(
-        x_range=(lo, hi), y_range=(lo, hi), resolution=resolution, cells=cells
-    )
+    return BoundaryGrid(span=(lo, hi), cells=cells)
 
 
 def save_grid_csv(grid: BoundaryGrid, path) -> None:
     """Row-major cell centers with header x,y,label."""
-    xs = [float(v) for v in grid_centers(grid.x_range[0], grid.x_range[1], grid.resolution)]
-    ys = [float(v) for v in grid_centers(grid.y_range[0], grid.y_range[1], grid.resolution)]
+    centers = [float(v) for v in grid_centers(*grid.span, len(grid.cells))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,label\n")
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
+        for i, y in enumerate(centers):
+            for j, x in enumerate(centers):
                 fh.write(f"{x!r},{y!r},{grid.cells[i, j]}\n")
-
-
-def report_to_dict(report: EvalReport, config_echo: dict | None = None,
-                   convergence_warnings: list | None = None) -> dict:
-    doc = {
-        "accuracy": float(report.accuracy),
-        "classes": list(report.classes),
-        "confusion": report.confusion.tolist(),
-        "n_total": int(report.n_total),
-    }
-    if config_echo is not None:
-        doc["config"] = config_echo
-    if convergence_warnings is not None:
-        doc["convergence_warnings"] = list(convergence_warnings)
-    return doc
 
 
 def save_report(report: EvalReport, path, config_echo: dict | None = None,
                 convergence_warnings: list | None = None) -> None:
     """Deterministic JSON (sorted keys, no timestamps) so identical runs
     produce byte-identical files."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            report_to_dict(report, config_echo, convergence_warnings),
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    doc = {**asdict(report, dict_factory=_json_ready),
+           "accuracy": report.accuracy, "n_total": report.n_total}
+    if config_echo is not None:
+        doc["config"] = config_echo
+    if convergence_warnings is not None:
+        doc["convergence_warnings"] = list(convergence_warnings)
+    _write_json(doc, path)
 
 
 def save_confusion_csv(report: EvalReport, path) -> None:

@@ -15,19 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_int
 from .errors import DimensionError
 from .sim import (_SQRT1_2, MAX_QUBITS, Circuit, QuantumState, cnot, hadamard, phase,
                   run_circuit, zero_state)
 
 ENTANGLEMENTS = ("full", "linear")
-
-
-def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
-    """The check of every integer setting of the configs: ``bool`` and
-    non-integers are rejected, numpy integers accepted."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(frozen=True)

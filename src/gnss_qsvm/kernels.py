@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import mask_seed
+from .data import _check_int, mask_seed
 from .errors import DegenerateDataError, DimensionError
-from .feature_map import FeatureMapConfig, _check_int, statevectors
+from .feature_map import FeatureMapConfig, statevectors
 
 FIDELITY_EXACT = "fidelity_exact"
 FIDELITY_SAMPLED = "fidelity_sampled"

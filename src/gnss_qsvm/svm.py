@@ -33,11 +33,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
-from .data import ScalerParams
+from .data import ScalerParams, _check_int
 from .errors import ConvergenceWarning, DimensionError, InvalidLabelsError, ModelFormatError
 from .feature_map import FeatureMapConfig
 from .kernels import (
@@ -69,8 +70,7 @@ class SvmConfig:
             raise ValueError(
                 f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}"
             )
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
+        _check_int(self.max_passes, "max_passes", 1)
 
 
 @dataclass(eq=False)
@@ -376,32 +376,50 @@ def predict(model: SvmModel, X) -> list:
     return [model.classes[w] for w in np.argmax(tied, axis=1)]
 
 
+@dataclass(eq=False)
+class _Document:
+    """A model document: one key per field."""
+    format: str
+    classes: list
+    binary_models: list
+    kernel: KernelConfig
+    training_features: np.ndarray
+    scaler: ScalerParams | None
+
+    def __post_init__(self):
+        if self.format != MODEL_FORMAT:
+            raise ValueError(f"unrecognized model format {self.format!r}")
+
+
+def _json_ready(items) -> dict:
+    # dict_factory of dataclasses.asdict: arrays and tuples become lists.
+    return {k: v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, tuple)
+            else v for k, v in items}
+
+
 def model_to_dict(model: SvmModel, scaler: ScalerParams | None = None) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "classes": list(model.classes),
-        "binary_models": [
-            {
-                "label_pair": list(bm.label_pair),
-                "alpha": bm.alpha.tolist(),
-                "y": bm.y.tolist(),
-                "bias": bm.bias,
-                "training_indices": bm.training_indices.tolist(),
-                "converged": bm.converged,
-            }
-            for bm in model.binary_models
-        ],
-        "kernel": asdict(model.kernel_config),
-        "training_features": model.training_features.tolist(),
-        "scaler": None
-        if scaler is None
-        else {
-            "data_min": scaler.data_min.tolist(),
-            "data_max": scaler.data_max.tolist(),
-            "target_lo": scaler.target_lo,
-            "target_hi": scaler.target_hi,
-        },
-    }
+    return asdict(_Document(MODEL_FORMAT, model.classes, model.binary_models,
+                            model.kernel_config, model.training_features, scaler),
+                  dict_factory=_json_ready)
+
+
+_floats = partial(np.array, dtype=float)
+
+
+def _from_section(cls, section, what: str, **convert):
+    """A ``cls`` from a model document section whose keys are exactly its
+    fields, each value passed through its field's converter (default: as
+    is). Any failure raises ModelFormatError."""
+    names = [f.name for f in fields(cls)]
+    try:
+        if not isinstance(section, dict) or section.keys() != set(names):
+            got = list(section) if isinstance(section, dict) else type(section).__name__
+            raise ValueError(f"expected an object with the keys {names}, got {got}")
+        return cls(**{name: convert.get(name, lambda v: v)(section[name]) for name in names})
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"invalid {what}: {exc!r}") from exc
 
 
 def _check_binary_model(bm: BinaryModel, classes: list, n_train: int) -> None:
@@ -413,63 +431,50 @@ def _check_binary_model(bm: BinaryModel, classes: list, n_train: int) -> None:
             f"{pair}: alpha, y and training_indices differ in shape: "
             f"{bm.alpha.shape}, {bm.y.shape}, {bm.training_indices.shape}"
         )
+    if not (np.all(np.isfinite(bm.alpha)) and math.isfinite(bm.bias)):
+        raise ModelFormatError(f"{pair}: alpha and bias must be finite")
+    if not np.all(np.isin(bm.y, (-1.0, 1.0))):
+        raise ModelFormatError(f"{pair}: y must hold only +1 and -1")
     idx = bm.training_indices
-    if idx.size and (idx.min() < 0 or idx.max() >= n_train):
-        raise ModelFormatError(f"{pair}: training indices must lie in [0, {n_train})")
+    if idx.dtype.kind != "i" or idx.size and (idx.min() < 0 or idx.max() >= n_train):
+        raise ModelFormatError(f"{pair}: training indices must be integers in [0, {n_train})")
 
 
 def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
     """Rebuild a model from its JSON document, rejecting inconsistent ones
     with ModelFormatError before they can fail inside ``predict``."""
-    if doc.get("format") != MODEL_FORMAT:
-        raise ModelFormatError(f"unrecognized model format {doc.get('format')!r}")
-    try:
-        kernel = doc["kernel"]
-        kcfg = KernelConfig(
-            mode=kernel["mode"],
-            feature_map=FeatureMapConfig(**kernel["feature_map"]),
-            shots=kernel["shots"],
-            seed=kernel["seed"],
-            gamma=kernel["gamma"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"invalid kernel section: {exc!r}") from exc
-    binary_models = [
-        BinaryModel(
-            label_pair=tuple(bm["label_pair"]),
-            alpha=np.array(bm["alpha"], dtype=float),
-            y=np.array(bm["y"], dtype=float),
-            bias=float(bm["bias"]),
-            training_indices=np.array(bm["training_indices"], dtype=int),
-            converged=bool(bm["converged"]),
-        )
-        for bm in doc["binary_models"]
-    ]
-    model = SvmModel(
-        classes=list(doc["classes"]),
-        binary_models=binary_models,
-        kernel_config=kcfg,
-        training_features=np.array(doc["training_features"], dtype=float),
+    doc = _from_section(
+        _Document, doc, "model document",
+        classes=list,
+        binary_models=lambda models: [
+            _from_section(BinaryModel, bm, "binary model", label_pair=tuple, alpha=_floats,
+                          y=_floats, bias=float, training_indices=np.array,
+                          converged=bool)
+            for bm in models
+        ],
+        kernel=lambda section: _from_section(
+            KernelConfig, section, "kernel section",
+            feature_map=lambda fm: _from_section(FeatureMapConfig, fm, "kernel section")),
+        training_features=lambda v: check_features(v, name="training_features"),
+        scaler=lambda section: None if section is None else _from_section(
+            ScalerParams, section, "scaler section", data_min=_floats, data_max=_floats,
+            target_lo=float, target_hi=float),
     )
-    for bm in binary_models:
-        _check_binary_model(bm, model.classes, model.training_features.shape[0])
-    scaler = None
-    if doc["scaler"] is not None:
-        s = doc["scaler"]
-        scaler = ScalerParams(
-            data_min=np.array(s["data_min"], dtype=float),
-            data_max=np.array(s["data_max"], dtype=float),
-            target_lo=float(s["target_lo"]),
-            target_hi=float(s["target_hi"]),
-        )
-    return model, scaler
+    for bm in doc.binary_models:
+        _check_binary_model(bm, doc.classes, len(doc.training_features))
+    return SvmModel(doc.classes, doc.binary_models, doc.kernel, doc.training_features), doc.scaler
+
+
+def _write_json(doc: dict, path) -> None:
+    """Indented JSON with sorted keys and a trailing newline; floats
+    serialize via repr, so reloads are exact."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_model(model: SvmModel, path, scaler: ScalerParams | None = None) -> None:
-    """Single JSON document; floats serialize via repr so reloads are exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, scaler), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(model_to_dict(model, scaler), path)
 
 
 def load_model(path) -> tuple[SvmModel, ScalerParams | None]:

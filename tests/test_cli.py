@@ -257,6 +257,10 @@ class TestDefaults:
         assert (tmp_path / "direct.json").read_bytes() == model_path.read_bytes()
 
 
+def _must_not_train(config):
+    raise AssertionError("training started")
+
+
 class TestRunExperimentApi:
     def test_returns_report_and_artifacts(self, tmp_path):
         config = ExperimentConfig(
@@ -285,6 +289,23 @@ class TestRunExperimentApi:
             run_experiment(config)
         with pytest.raises(ValueError, match=field):
             fit_pipeline(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_seed_rejected(self, tmp_path):
+        config = ExperimentConfig(train_sources=["T1_SHAPE"], test_source="T1_SHAPE",
+                                  model="svm", seed=2.5, outdir=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("resolution", [2.5, 0, True])
+    def test_bad_grid_resolution_rejected_before_training(self, tmp_path, monkeypatch,
+                                                          resolution):
+        monkeypatch.setattr("gnss_qsvm.cli.fit_pipeline", _must_not_train)
+        config = ExperimentConfig(train_sources=["T1_SHAPE"], test_source="T1_SHAPE",
+                                  grid_resolution=resolution, outdir=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="grid_resolution must be an integer"):
+            run_experiment(config)
         assert not (tmp_path / "out").exists()
 
     def test_fit_pipeline_matches_train_command(self, tmp_path):

@@ -8,6 +8,7 @@ from gnss_qsvm.data import (
     Dataset,
     LABELS,
     PRESETS,
+    ScalerParams,
     SignalSample,
     apply_scaler,
     fit_scaler,
@@ -160,6 +161,22 @@ class TestScaler:
         with pytest.raises(ValueError):
             fit_scaler(ds, 1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_target_rejected(self, lo, hi):
+        ds = make_dataset([(0.0, 10.0, "LOS"), (10.0, 50.0, "NLOS")])
+        with pytest.raises(ValueError, match="target_hi must exceed target_lo"):
+            fit_scaler(ds, lo, hi)
+
+    @pytest.mark.parametrize("data_min, data_max", [
+        ([0.0, math.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.inf]), ([2.0, 0.0], [1.0, 1.0])])
+    def test_params_without_finite_range_rejected(self, data_min, data_max):
+        with pytest.raises(DegenerateDataError, match="no finite range"):
+            ScalerParams(np.array(data_min), np.array(data_max))
+
+    def test_params_of_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="must hold 2 values"):
+            ScalerParams(np.zeros(3), np.ones(3))
+
 
 class TestGenerateSynthetic:
     def test_preset_counts(self):
@@ -203,6 +220,11 @@ class TestGenerateSynthetic:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic("T3_SHAPE", seed=0)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, "2"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            generate_synthetic("T1_SHAPE", seed)
 
 
 def test_labels_constant_matches_schema():

@@ -3,7 +3,6 @@ import pytest
 
 from gnss_qsvm.data import ScalerParams, apply_scaler, fit_scaler, generate_synthetic
 from gnss_qsvm.evaluate import (
-    accuracy,
     boundary_grid,
     confusion,
     grid_centers,
@@ -22,21 +21,21 @@ UNIT_SCALER = ScalerParams(
 
 class TestAccuracy:
     def test_all_correct(self):
-        assert accuracy(["a", "b"], ["a", "b"]) == 1.0
+        assert make_report(["a", "b"], ["a", "b"], ["a", "b"]).accuracy == 1.0
 
     def test_half_correct(self):
-        assert accuracy(["a", "b"], ["a", "a"]) == 0.5
+        assert make_report(["a", "b"], ["a", "a"], ["a", "b"]).accuracy == 0.5
 
     def test_none_correct(self):
-        assert accuracy(["b", "a"], ["a", "b"]) == 0.0
+        assert make_report(["b", "a"], ["a", "b"], ["a", "b"]).accuracy == 0.0
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy(["a"], ["a", "b"])
+        with pytest.raises(ValueError, match="1 prediction"):
+            make_report(["a"], ["a", "b"], ["a", "b"])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy([], [])
+        with pytest.raises(ValueError, match="empty"):
+            make_report([], [], ["a", "b"])
 
 
 class TestConfusion:
@@ -125,8 +124,7 @@ class TestBoundaryGrid:
             target_lo=0.0, target_hi=2.0,
         )
         grid = boundary_grid(_constant_model(1.0), scaler, resolution=2)
-        assert grid.x_range == (0.0, 2.0)
-        assert grid.y_range == (0.0, 2.0)
+        assert grid.span == (0.0, 2.0)
 
     def test_non_2d_model_rejected(self):
         model = _constant_model(1.0)

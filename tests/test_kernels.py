@@ -82,6 +82,11 @@ class TestFidelitySampled:
         with pytest.raises(ValueError):
             fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, 100, seed=seed)
+
     def test_negative_seed_accepted(self):
         # Seeds are taken modulo 2**64, as SeedSequence needs them unsigned.
         x, y = [0.5, 0.5], [0.1, 0.9]

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from gnss_qsvm.data import Dataset, apply_scaler, fit_scaler, generate_synthetic
+from gnss_qsvm.data import Dataset, ScalerParams, apply_scaler, fit_scaler, generate_synthetic
 from gnss_qsvm.errors import (
     ConvergenceWarning,
     DimensionError,
@@ -137,6 +138,15 @@ class TestSvmConfig:
     def test_non_positive_or_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             SvmConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 3.0, True, "10"])
+    def test_max_passes_must_be_a_positive_int(self, value):
+        with pytest.raises(ValueError, match="max_passes must be an integer"):
+            SvmConfig(max_passes=value)
+
+    @pytest.mark.parametrize("value", [1, np.int64(7)])
+    def test_integer_max_passes_accepted(self, value):
+        assert SvmConfig(max_passes=value).max_passes == value
 
 
 class TestTrainOvo:
@@ -372,7 +382,20 @@ CORRUPTIONS = {
     "index past the end": lambda doc: _corrupt(
         doc, "training_indices", [0, 1, 2, len(doc["training_features"])]),
     "negative index": lambda doc: _corrupt(doc, "training_indices", [-1, 1, 2, 3]),
+    "fractional index": lambda doc: _corrupt(doc, "training_indices", [0.5, 1, 2, 3]),
     "label pair outside classes": lambda doc: _corrupt(doc, "label_pair", ["A", "Z"]),
+    "missing binary-model key": lambda doc: {
+        **doc, "binary_models": [_without(doc["binary_models"][0], "alpha")]},
+    "missing top-level key": lambda doc: _without(doc, "scaler"),
+    "extra top-level key": lambda doc: {**doc, "notes": "x"},
+    "JSON list": lambda doc: [doc],
+    "missing feature_map key": lambda doc: {**doc, "kernel": {
+        **doc["kernel"], "feature_map": _without(doc["kernel"]["feature_map"], "repetitions")}},
+    "NaN alpha": lambda doc: _corrupt(
+        doc, "alpha", [math.nan, *doc["binary_models"][0]["alpha"][1:]]),
+    "NaN training feature": lambda doc: {
+        **doc, "training_features": [[math.nan, 0.0], *doc["training_features"][1:]]},
+    "y entry of 5": lambda doc: _corrupt(doc, "y", [5.0, *doc["binary_models"][0]["y"][1:]]),
 }
 
 
@@ -415,6 +438,29 @@ def test_corrupted_kernel_section_rejected_at_load(tmp_path, corruption):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="invalid kernel section"):
+        load_model(path)
+
+
+SCALER_CORRUPTIONS = {
+    "missing scaler key": lambda s: _without(s, "target_hi"),
+    "NaN data_min": lambda s: {**s, "data_min": [math.nan, 0.0]},
+    "three data_max values": lambda s: {**s, "data_max": [*s["data_max"], 1.0]},
+    "data_max equal to data_min": lambda s: {**s, "data_max": s["data_min"]},
+    "infinite target_hi": lambda s: {**s, "target_hi": math.inf},
+}
+
+
+@pytest.mark.parametrize("corruption", list(SCALER_CORRUPTIONS))
+def test_corrupted_scaler_section_rejected_at_load(tmp_path, corruption):
+    model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG)
+    scaler = ScalerParams(np.array([-1.0, 5.0]), np.array([9.0, 85.0]))
+    doc = json.loads(json.dumps(model_to_dict(model, scaler)))
+    doc["scaler"] = SCALER_CORRUPTIONS[corruption](doc["scaler"])
+    with pytest.raises(ModelFormatError, match="invalid scaler"):
+        model_from_dict(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="invalid scaler"):
         load_model(path)
 
 
