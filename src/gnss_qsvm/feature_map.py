@@ -78,27 +78,50 @@ def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
     """Feature-map states of every row of ``X``, shape (m, 2**n): the gates
     of :func:`build_circuit` applied to all rows at once with the simulator's
     arithmetic, so that for two or more features each row equals
-    :func:`map_to_state` bit for bit."""
+    :func:`map_to_state` bit for bit.
+
+    The states are held amplitude-major, (2**n, m), and reshaped to one axis
+    per qubit, so that the halves a gate acts on are basic-slice views and
+    every gate is an in-place operation on whole rows of samples. numpy
+    multiplies a one-element complex row in its scalar loop, which rounds
+    differently from the vector loop of any longer row, so a one-row call
+    runs on the row doubled and keeps one."""
     X = np.asarray(X, dtype=float)
     n = config.num_features
     if X.ndim != 2 or X.shape[1] != n:
         raise DimensionError(f"expected an (m, {n}) feature matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("feature values must be finite")
-    bit = [(np.arange(1 << n) >> q) & 1 == 1 for q in range(n)]
+    m = len(X)
+    if m == 1:
+        X = np.repeat(X, 2, axis=0)
+    states = np.zeros((1 << n, len(X)), dtype=complex)
+    states[0] = 1.0
+    # Little-endian: qubit q is axis n - 1 - q. half((q, v), ...) is the view
+    # of the amplitudes whose bit q is v for every pair given.
+    qubits = states.reshape((2,) * n + (-1,))
+
+    def half(*bits):
+        index = [slice(None)] * n
+        for q, v in bits:
+            index[n - 1 - q] = v
+        return qubits[tuple(index)]
+
+    hadamards = [(half((q, 0)), half((q, 1))) for q in range(n)]
     # PHASE multiplies the amplitudes whose target bit is set; a
     # CX . PHASE . CX block multiplies those where z_i != z_j.
-    factors = [(bit[q], np.exp(1j * (2.0 * X[:, q]))) for q in range(n)] + [
-        (bit[i] != bit[j], np.exp(1j * (2.0 * ((math.pi - X[:, i]) * (math.pi - X[:, j])))))
+    phases = [([half((q, 1))], np.exp(1j * (2.0 * X[:, q]))) for q in range(n)] + [
+        ([half((i, 1), (j, 0)), half((i, 0), (j, 1))],
+         np.exp(1j * (2.0 * ((math.pi - X[:, i]) * (math.pi - X[:, j])))))
         for i, j in config.pairs()
     ]
-    states = np.zeros((X.shape[0], 1 << n), dtype=complex)
-    states[:, 0] = 1.0
     for _ in range(config.repetitions):
-        for q in range(n):
-            a, b = states[:, ~bit[q]], states[:, bit[q]]
-            states[:, ~bit[q]] = (a + b) * _SQRT1_2
-            states[:, bit[q]] = (a - b) * _SQRT1_2
-        for mask, factor in factors:
-            states[:, mask] *= factor[:, None]
-    return states
+        for a, b in hadamards:
+            diff = a - b
+            a += b
+            a *= _SQRT1_2
+            np.multiply(diff, _SQRT1_2, out=b)
+        for targets, factor in phases:
+            for target in targets:
+                target *= factor
+    return np.ascontiguousarray(states[:, :m].T)

@@ -359,21 +359,22 @@ def predict(model: SvmModel, X) -> list:
     then on the lower class index."""
     kernel_block = gram_rectangular(X, model.training_features, model.kernel_config).values
     class_index = {c: i for i, c in enumerate(model.classes)}
-    votes = np.zeros((kernel_block.shape[0], len(model.classes)), dtype=int)
+    # Class-major; a loser's margin gains 0.0, which leaves every sum exact.
+    votes = np.zeros((len(model.classes), kernel_block.shape[0]), dtype=int)
     margins = np.zeros(votes.shape)
     for bm in model.binary_models:
         d = kernel_block[:, bm.training_indices] @ (bm.alpha * bm.y) + bm.bias
         ai, bi = class_index[bm.label_pair[0]], class_index[bm.label_pair[1]]
-        win_a = d > 0
-        votes[win_a, ai] += 1
-        votes[~win_a, bi] += 1
-        margins[win_a, ai] += np.abs(d[win_a])
-        margins[~win_a, bi] += np.abs(d[~win_a])
+        win, margin = d > 0, np.abs(d)
+        votes[ai] += win
+        votes[bi] += ~win
+        margins[ai] += np.where(win, margin, 0.0)
+        margins[bi] += np.where(win, 0.0, margin)
 
     # Among the classes with the most votes, the largest margin sum wins;
     # argmax takes the first of equal maxima, so the lowest index breaks ties.
-    tied = np.where(votes == votes.max(axis=1, keepdims=True), margins, -np.inf)
-    return [model.classes[w] for w in np.argmax(tied, axis=1)]
+    tied = np.where(votes == votes.max(axis=0), margins, -np.inf)
+    return [model.classes[w] for w in np.argmax(tied, axis=0)]
 
 
 @dataclass(eq=False)
@@ -406,6 +407,18 @@ def model_to_dict(model: SvmModel, scaler: ScalerParams | None = None) -> dict:
 _floats = partial(np.array, dtype=float)
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a JSON boolean, got {value!r}")
+    return value
+
+
+def _json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def _from_section(cls, section, what: str, **convert):
     """A ``cls`` from a model document section whose keys are exactly its
     fields, each value passed through its field's converter (default: as
@@ -424,8 +437,9 @@ def _from_section(cls, section, what: str, **convert):
 
 def _check_binary_model(bm: BinaryModel, classes: list, n_train: int) -> None:
     pair = f"binary model {bm.label_pair!r}"
-    if len(bm.label_pair) != 2 or any(c not in classes for c in bm.label_pair):
-        raise ModelFormatError(f"{pair}: label pair is not two of the classes {classes}")
+    if len(bm.label_pair) != 2 or bm.label_pair[0] == bm.label_pair[1] \
+            or any(c not in classes for c in bm.label_pair):
+        raise ModelFormatError(f"{pair}: label pair is not two distinct classes of {classes}")
     if bm.alpha.ndim != 1 or not bm.alpha.shape == bm.y.shape == bm.training_indices.shape:
         raise ModelFormatError(
             f"{pair}: alpha, y and training_indices differ in shape: "
@@ -448,8 +462,8 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
         classes=list,
         binary_models=lambda models: [
             _from_section(BinaryModel, bm, "binary model", label_pair=tuple, alpha=_floats,
-                          y=_floats, bias=float, training_indices=np.array,
-                          converged=bool)
+                          y=_floats, bias=_json_number,
+                          training_indices=np.array, converged=_json_bool)
             for bm in models
         ],
         kernel=lambda section: _from_section(

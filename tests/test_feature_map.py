@@ -217,6 +217,24 @@ class TestStatevectors:
         per_part = np.concatenate([statevectors(p, cfg) for p in parts])
         assert stacked.tobytes() == per_part.tobytes()
 
+    @pytest.mark.parametrize("entanglement", ["full", "linear"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_one_row_call_equals_bulk_row_bit_for_bit(self, width, entanglement):
+        # A one-element complex multiply takes numpy's scalar loop, which
+        # rounds differently from the vector loop a bulk call gets.
+        cfg = FeatureMapConfig(width, 2, entanglement)
+        X = np.random.default_rng(40 + width).uniform(-2 * math.pi, 2 * math.pi, size=(9, width))
+        bulk = statevectors(X, cfg)
+        for k, row in enumerate(X):
+            assert statevectors(row[None], cfg).tobytes() == bulk[k : k + 1].tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 37])
+    def test_returns_c_contiguous_rows(self, rows):
+        X = np.random.default_rng(rows).uniform(0.0, 1.0, size=(rows, 2))
+        states = statevectors(X, FM2)
+        assert states.shape == (rows, 4)
+        assert states.flags.c_contiguous
+
     def test_width_must_match_map(self):
         with pytest.raises(DimensionError):
             statevectors([[0.1, 0.2, 0.3]], FM2)

@@ -396,6 +396,9 @@ CORRUPTIONS = {
     "NaN training feature": lambda doc: {
         **doc, "training_features": [[math.nan, 0.0], *doc["training_features"][1:]]},
     "y entry of 5": lambda doc: _corrupt(doc, "y", [5.0, *doc["binary_models"][0]["y"][1:]]),
+    "string converged": lambda doc: _corrupt(doc, "converged", "false"),
+    "boolean bias": lambda doc: _corrupt(doc, "bias", True),
+    "label pair of one class twice": lambda doc: _corrupt(doc, "label_pair", ["A", "A"]),
 }
 
 
