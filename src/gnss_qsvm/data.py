@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,9 +137,30 @@ def load_csv(path) -> Dataset:
     return Dataset(samples=samples, name=path.stem)
 
 
+def _open_in_place(path, flags):
+    # open()'s own flags (O_CLOEXEC, O_BINARY on Windows) without O_TRUNC;
+    # 0o666 is the creation mode open() itself uses.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _open_artifact(path):
+    """``open(path, "w", encoding="utf-8")`` for every artifact, except that
+    an existing file is overwritten from offset 0 instead of truncated first
+    (on ext4, closing a file truncated to zero and written again starts
+    writeback). On exit, exception or not, a regular file is cut at the
+    current position; devices and pipes cannot be cut and are left as is."""
+    with open(path, "w", encoding="utf-8", opener=_open_in_place) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Writer counterpart of load_csv; floats use repr for exact round trips."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_artifact(path) as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for s in dataset.samples:
             fh.write(f"{float(s.cn0_diff)!r},{float(s.elevation)!r},{s.label}\n")

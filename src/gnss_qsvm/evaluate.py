@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ScalerParams, _check_int
+from .data import ScalerParams, _check_int, _open_artifact
 from .svm import SvmModel, _json_ready, _write_json, predict
 
 
@@ -82,12 +82,11 @@ def boundary_grid(model: SvmModel, scaler: ScalerParams, resolution: int) -> Bou
 
 def save_grid_csv(grid: BoundaryGrid, path) -> None:
     """Row-major cell centers with header x,y,label."""
-    centers = [float(v) for v in grid_centers(*grid.span, len(grid.cells))]
-    with open(path, "w", encoding="utf-8") as fh:
+    centers = [repr(float(v)) for v in grid_centers(*grid.span, len(grid.cells))]
+    with _open_artifact(path) as fh:
         fh.write("x,y,label\n")
-        for i, y in enumerate(centers):
-            for j, x in enumerate(centers):
-                fh.write(f"{x!r},{y!r},{grid.cells[i, j]}\n")
+        for y, row in zip(centers, grid.cells.tolist()):
+            fh.write("".join(f"{x},{y},{label}\n" for x, label in zip(centers, row)))
 
 
 def save_report(report: EvalReport, path, config_echo: dict | None = None,
@@ -105,7 +104,7 @@ def save_report(report: EvalReport, path, config_echo: dict | None = None,
 
 def save_confusion_csv(report: EvalReport, path) -> None:
     """Confusion counts with truth classes as rows, predictions as columns."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_artifact(path) as fh:
         fh.write("truth\\prediction," + ",".join(str(c) for c in report.classes) + "\n")
         for i, c in enumerate(report.classes):
             row = ",".join(str(int(v)) for v in report.confusion[i])

@@ -34,11 +34,10 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
-from .data import ScalerParams, _check_int
+from .data import ScalerParams, _check_int, _open_artifact
 from .errors import ConvergenceWarning, DimensionError, InvalidLabelsError, ModelFormatError
 from .feature_map import FeatureMapConfig
 from .kernels import (
@@ -404,7 +403,22 @@ def model_to_dict(model: SvmModel, scaler: ScalerParams | None = None) -> dict:
                   dict_factory=_json_ready)
 
 
-_floats = partial(np.array, dtype=float)
+def _json_numbers(value):
+    """``value`` as it is, once every leaf of its nested lists is a JSON
+    number. numpy alone also takes strings and booleans ("0.5" as 0.5,
+    true as 1), even into a float64 array."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise TypeError(f"expected JSON numbers, got {item!r}")
+    return value
+
+
+def _floats(value) -> np.ndarray:
+    return np.array(_json_numbers(value), dtype=float)
 
 
 def _json_bool(value) -> bool:
@@ -414,9 +428,7 @@ def _json_bool(value) -> bool:
 
 
 def _json_number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a JSON number, got {value!r}")
-    return float(value)
+    return float(_json_numbers(value))  # float() rejects a list
 
 
 def _from_section(cls, section, what: str, **convert):
@@ -462,17 +474,18 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
         classes=list,
         binary_models=lambda models: [
             _from_section(BinaryModel, bm, "binary model", label_pair=tuple, alpha=_floats,
-                          y=_floats, bias=_json_number,
-                          training_indices=np.array, converged=_json_bool)
+                          y=_floats, bias=_json_number, converged=_json_bool,
+                          training_indices=lambda v: np.array(_json_numbers(v)))
             for bm in models
         ],
         kernel=lambda section: _from_section(
-            KernelConfig, section, "kernel section",
+            KernelConfig, section, "kernel section", shots=_json_numbers,
+            gamma=lambda v: v if v is None else _json_numbers(v),
             feature_map=lambda fm: _from_section(FeatureMapConfig, fm, "kernel section")),
-        training_features=lambda v: check_features(v, name="training_features"),
+        training_features=lambda v: check_features(_json_numbers(v), name="training_features"),
         scaler=lambda section: None if section is None else _from_section(
             ScalerParams, section, "scaler section", data_min=_floats, data_max=_floats,
-            target_lo=float, target_hi=float),
+            target_lo=_json_number, target_hi=_json_number),
     )
     for bm in doc.binary_models:
         _check_binary_model(bm, doc.classes, len(doc.training_features))
@@ -482,7 +495,7 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
 def _write_json(doc: dict, path) -> None:
     """Indented JSON with sorted keys and a trailing newline; floats
     serialize via repr, so reloads are exact."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_artifact(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -493,4 +506,8 @@ def save_model(model: SvmModel, path, scaler: ScalerParams | None = None) -> Non
 
 def load_model(path) -> tuple[SvmModel, ScalerParams | None]:
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ModelFormatError(f"{path}: not a JSON document: {exc}") from exc
+    return model_from_dict(doc)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -28,6 +29,22 @@ class TestSynth:
     def test_unknown_preset_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("synth", "--preset", "T9", "--out", tmp_path / "x.csv")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_out_dev_null(self):
+        assert run_cli("synth", "--preset", "T1_SHAPE", "--out", "/dev/null") == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_dev_stdout_into_a_pipe(self, tmp_path):
+        out = tmp_path / "t1.csv"
+        assert run_cli("synth", "--preset", "T1_SHAPE", "--out", out) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "gnss_qsvm.cli", "synth", "--preset", "T1_SHAPE",
+             "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes() + b"wrote 41 samples to /dev/stdout\n"
 
 
 class TestTrainPredictEval:

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,7 @@ from gnss_qsvm.data import (
     PRESETS,
     ScalerParams,
     SignalSample,
+    _open_artifact,
     apply_scaler,
     fit_scaler,
     generate_synthetic,
@@ -17,6 +20,9 @@ from gnss_qsvm.data import (
     write_csv,
 )
 from gnss_qsvm.errors import CsvParseError, DegenerateDataError
+from gnss_qsvm.evaluate import boundary_grid, make_report, save_confusion_csv, save_grid_csv
+from gnss_qsvm.kernels import RBF, KernelConfig
+from gnss_qsvm.svm import SvmConfig, save_model, train_ovo
 
 
 def make_dataset(rows):
@@ -103,6 +109,68 @@ class TestRoundTrip:
         write_csv(ds, path)
         loaded = load_csv(path)
         assert loaded.samples == ds.samples
+
+
+def _write_artifact(kind: str, path) -> None:
+    ds = generate_synthetic("T1_SHAPE", seed=11)
+    scaler = fit_scaler(ds)
+    model = train_ovo(apply_scaler(scaler, ds), ds.labels(), SvmConfig(),
+                      KernelConfig(mode=RBF, gamma=1.0))
+    if kind == "sample csv":
+        write_csv(ds, path)
+    elif kind == "confusion csv":
+        save_confusion_csv(make_report(ds.labels()[::-1], ds.labels(), LABELS), path)
+    elif kind == "grid csv":
+        save_grid_csv(boundary_grid(model, scaler, 4), path)
+    else:
+        save_model(model, path, scaler)
+
+
+class TestArtifactWriter:
+    @pytest.mark.parametrize("kind", ["sample csv", "confusion csv", "grid csv", "model json"])
+    def test_rewrite_of_longer_file_leaves_no_stale_tail(self, tmp_path, kind):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        _write_artifact(kind, fresh)
+        reused.write_bytes(b"#" * 3 + fresh.read_bytes() + b"stale tail\n" * 500)
+        _write_artifact(kind, reused)
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_exception_mid_write_leaves_the_written_prefix(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("old,contents\n" * 100, encoding="utf-8")
+        with pytest.raises(RuntimeError, match="halfway"):
+            with _open_artifact(path) as fh:
+                fh.write("new,")
+                raise RuntimeError("halfway")
+        assert path.read_bytes() == b"new,"
+
+    def test_existing_mode_kept_and_new_file_mode_follows_umask(self, tmp_path):
+        ds = generate_synthetic("T1_SHAPE", seed=11)
+        existing = tmp_path / "existing.csv"
+        existing.write_text("x" * 10_000, encoding="utf-8")
+        existing.chmod(0o640)
+        write_csv(ds, existing)
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+
+        umask = os.umask(0o022)
+        os.umask(umask)
+        write_csv(ds, tmp_path / "new.csv")
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~umask
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("x" * 10_000, encoding="utf-8")
+        link.symlink_to(target)
+        ds = generate_synthetic("T1_SHAPE", seed=11)
+        write_csv(ds, link)
+        assert link.is_symlink()
+        assert load_csv(target).samples == ds.samples
+
+    @pytest.mark.parametrize("path, error", [
+        ("", IsADirectoryError), ("missing/a.csv", FileNotFoundError)])
+    def test_unwritable_paths_raise_like_open(self, tmp_path, path, error):
+        with pytest.raises(error):
+            write_csv(generate_synthetic("T1_SHAPE"), tmp_path / path)
 
 
 class TestScaler:

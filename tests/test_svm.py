@@ -284,6 +284,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_dict({"format": "something-else"})
 
+    def test_truncated_file_names_the_path(self, tmp_path):
+        # What a write killed halfway leaves behind.
+        path = tmp_path / "model.json"
+        save_model(train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:len(text) // 2], encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="model.json: not a JSON document"):
+            load_model(path)
+
 
 def _stub_model(biases: dict, classes=None) -> SvmModel:
     """Model whose binary decisions are constant (all-zero alphas), letting
@@ -399,6 +408,12 @@ CORRUPTIONS = {
     "string converged": lambda doc: _corrupt(doc, "converged", "false"),
     "boolean bias": lambda doc: _corrupt(doc, "bias", True),
     "label pair of one class twice": lambda doc: _corrupt(doc, "label_pair", ["A", "A"]),
+    "string alpha entry": lambda doc: _corrupt(
+        doc, "alpha", ["0.5", *doc["binary_models"][0]["alpha"][1:]]),
+    "boolean y entry": lambda doc: _corrupt(doc, "y", [True, *doc["binary_models"][0]["y"][1:]]),
+    "string training feature": lambda doc: {
+        **doc, "training_features": [["0.25", 0.0], *doc["training_features"][1:]]},
+    "boolean training index": lambda doc: _corrupt(doc, "training_indices", [True, 0, 2, 3]),
 }
 
 
@@ -428,6 +443,8 @@ KERNEL_CORRUPTIONS = {
     "fractional num_features": lambda k: {**k, "feature_map": {**k["feature_map"],
                                                                "num_features": 2.5}},
     "string seed": lambda k: {**k, "mode": FIDELITY_SAMPLED, "seed": "x"},
+    "boolean gamma": lambda k: {**k, "gamma": True},
+    "string shots": lambda k: {**k, "shots": "1000"},
 }
 
 
@@ -450,6 +467,9 @@ SCALER_CORRUPTIONS = {
     "three data_max values": lambda s: {**s, "data_max": [*s["data_max"], 1.0]},
     "data_max equal to data_min": lambda s: {**s, "data_max": s["data_min"]},
     "infinite target_hi": lambda s: {**s, "target_hi": math.inf},
+    "string target_lo": lambda s: {**s, "target_lo": "0.0"},
+    "boolean target_lo": lambda s: {**s, "target_lo": False},
+    "string data_min entry": lambda s: {**s, "data_min": ["-10", s["data_min"][1]]},
 }
 
 
