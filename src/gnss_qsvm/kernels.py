@@ -21,6 +21,7 @@ binomial after its state is set to the PCG64 state of that entry's seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,9 @@ _U128 = (1 << 128) - 1
 
 
 def _check_gamma(gamma) -> None:
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) \
+            or not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.mode not in KERNEL_MODES:
             raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
-        if self.mode == FIDELITY_SAMPLED:
-            _check_int(self.shots, "shots", 1, MAX_SHOTS)
+        # Only the sampled mode spends shots; the others take 0 as well.
+        _check_int(self.shots, "shots", int(self.mode == FIDELITY_SAMPLED), MAX_SHOTS)
         _check_int(self.seed, "seed")
         if self.gamma is not None:
             _check_gamma(self.gamma)

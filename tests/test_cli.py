@@ -178,6 +178,11 @@ class TestExperiment:
         assert f"{field} must be positive and finite" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_svm_ignores_zero_shots(self, tmp_path):
+        assert run_cli("experiment", "--train", "T1_SHAPE", "--test", "T1_SHAPE",
+                       "--model", "svm", "--shots", 0, "--outdir", tmp_path) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["shots"] == 0
+
     def test_infinite_gamma_rejected(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         code = run_cli("experiment", "--train", "T1_SHAPE", "--test", "T1_SHAPE",

@@ -288,6 +288,21 @@ class TestKernelConfig:
         with pytest.raises(ValueError):
             KernelConfig(mode=RBF, gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [True, "x", "0.5", [0.5]])
+    def test_gamma_must_be_a_number(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            KernelConfig(mode=RBF, gamma=gamma)
+
+    @pytest.mark.parametrize("mode", [FIDELITY_EXACT, RBF])
+    @pytest.mark.parametrize("shots", ["x", 2.5, True, -1, 2**63])
+    def test_shots_must_be_an_integer_in_every_mode(self, mode, shots):
+        with pytest.raises(ValueError, match="shots"):
+            KernelConfig(mode=mode, shots=shots)
+
+    @pytest.mark.parametrize("mode", [FIDELITY_EXACT, RBF])
+    def test_zero_shots_outside_sampled_mode(self, mode):
+        assert KernelConfig(mode=mode, shots=0).shots == 0
+
 
 @pytest.mark.parametrize("kernel", [
     lambda x, y: fidelity_exact(x, y, FM2),

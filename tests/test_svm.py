@@ -461,6 +461,16 @@ def test_corrupted_kernel_section_rejected_at_load(tmp_path, corruption):
         load_model(path)
 
 
+def test_feature_map_wider_than_training_features_rejected_at_load():
+    # An exact model derives its observables from the training states on
+    # load, so a width the feature map cannot take is a format error there.
+    model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), KernelConfig(mode=FIDELITY_EXACT))
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    doc["kernel"]["feature_map"]["num_features"] = 3
+    with pytest.raises(ModelFormatError, match="does not fit the training features"):
+        model_from_dict(doc)
+
+
 SCALER_CORRUPTIONS = {
     "missing scaler key": lambda s: _without(s, "target_hi"),
     "NaN data_min": lambda s: {**s, "data_min": [math.nan, 0.0]},
