@@ -1,9 +1,10 @@
 """Quantum-kernel and RBF SVM classification of GNSS signal reception
 conditions (LOS / NLOS / LOS+NLOS).
 
-The package namespace holds the pipeline API. The statevector simulator and
-the feature-map circuits live in ``gnss_qsvm.sim`` and
-``gnss_qsvm.feature_map``; Gram assembly in ``gnss_qsvm.kernels``.
+The package namespace holds the pipeline API. The batched feature-map
+states live in ``gnss_qsvm.feature_map`` and Gram assembly in
+``gnss_qsvm.kernels``; ``gnss_qsvm.sim`` is the gate-by-gate statevector
+simulator that the states are tested against.
 """
 
 from .data import (

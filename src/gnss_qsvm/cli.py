@@ -234,9 +234,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_boundary(args) -> int:
     model, scaler = load_model(args.model_path)
-    if scaler is None:
-        raise ValueError("model was trained on raw features; no scaled square "
-                         "to span (retrain without --raw)")
     grid = boundary_grid(model, scaler, args.resolution)
     save_grid_csv(grid, args.out)
     print(f"wrote {args.resolution}x{args.resolution} grid to {args.out}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import stat
 from contextlib import contextmanager
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvParseError, DegenerateDataError
+from .errors import CsvParseError, DegenerateDataError, DimensionError
 
 LABELS = ("LOS", "NLOS", "LOS_NLOS")
 
@@ -75,8 +76,9 @@ class Dataset:
         return len(self.samples)
 
     def features(self) -> np.ndarray:
-        """n x 2 matrix with columns (cn0_diff, elevation)."""
-        return np.array([[s.cn0_diff, s.elevation] for s in self.samples], dtype=float)
+        """n x 2 matrix with columns (cn0_diff, elevation), also for n = 0."""
+        rows = [[s.cn0_diff, s.elevation] for s in self.samples]
+        return np.array(rows, dtype=float).reshape(len(rows), len(_FEATURES))
 
     def labels(self) -> list[str]:
         return [s.label for s in self.samples]
@@ -178,9 +180,13 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
     """Linear per-feature map onto [target_lo, target_hi].
 
     Values outside the fitted range are not clamped and land outside the
-    target interval.
+    target interval. Anything but an (m, 2) matrix or a Dataset raises
+    DimensionError.
     """
     X = data.features() if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(_FEATURES):
+        raise DimensionError(f"expected an (m, {len(_FEATURES)}) feature matrix, "
+                             f"got shape {X.shape}")
     span = params.data_max - params.data_min
     scale = (params.target_hi - params.target_lo) / span
     return params.target_lo + (X - params.data_min) * scale
@@ -192,6 +198,14 @@ def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or not lo <= value <= hi:
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _check_positive(value, name: str) -> None:
+    """The check of every positive real setting: ``bool`` and non-reals are
+    rejected, numpy floats accepted, and the value must be finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def mask_seed(seed: int) -> int:

@@ -61,9 +61,13 @@ def grid_centers(lo: float, hi: float, resolution: int) -> np.ndarray:
     return lo + (np.arange(resolution) + 0.5) * step
 
 
-def boundary_grid(model: SvmModel, scaler: ScalerParams, resolution: int) -> BoundaryGrid:
+def boundary_grid(model: SvmModel, scaler: ScalerParams | None, resolution: int) -> BoundaryGrid:
     """Predict every cell center of a resolution x resolution lattice over
-    the scaled feature square [target_lo, target_hi]^2."""
+    the scaled feature square [target_lo, target_hi]^2; a model trained on
+    raw features (``scaler`` None) has no such square."""
+    if scaler is None:
+        raise ValueError("model was trained on raw features; no scaled square "
+                         "to span (retrain without --raw)")
     if model.training_features.shape[1] != 2:
         raise ValueError(
             f"boundary grids need a 2-feature model, got "

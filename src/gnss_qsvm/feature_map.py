@@ -3,9 +3,8 @@
 A feature vector x is encoded by repeating, per repetition: a Hadamard
 layer, single-qubit phases 2*x_i, and for each entangled pair (i, j) the
 block CX(i->j), PHASE(2*(pi - x_i)*(pi - x_j)) on j, CX(i->j). One qubit
-per feature. The kernels take their states from the batched
-:func:`statevectors`; :func:`map_to_state` runs the same gates on the ``sim``
-gate simulator, one sample at a time, as the reference for the tests.
+per feature. :func:`statevectors` builds the states of a whole batch at
+once; the kernels take their states from it.
 """
 
 from __future__ import annotations
@@ -17,8 +16,9 @@ import numpy as np
 
 from .data import _check_int
 from .errors import DimensionError
-from .sim import (_SQRT1_2, MAX_QUBITS, Circuit, QuantumState, cnot, hadamard, phase,
-                  run_circuit, zero_state)
+# This import also keeps gnss_qsvm.sim loaded, which perfbench's tracer
+# wraps as one of its layers.
+from .sim import _SQRT1_2, MAX_QUBITS
 
 ENTANGLEMENTS = ("full", "linear")
 
@@ -46,39 +46,12 @@ class FeatureMapConfig:
         return [(i, i + 1) for i in range(n - 1)]
 
 
-def build_circuit(x, config: FeatureMapConfig) -> Circuit:
-    """Feature map circuit for ``x``; deterministic gate-for-gate."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (config.num_features,):
-        raise DimensionError(
-            f"expected {config.num_features} feature(s), got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature values must be finite")
-    n = config.num_features
-    gates = []
-    for _ in range(config.repetitions):
-        for q in range(n):
-            gates.append(hadamard(q))
-        for q in range(n):
-            gates.append(phase(2.0 * x[q], q))
-        for i, j in config.pairs():
-            gates.append(cnot(i, j))
-            gates.append(phase(2.0 * ((math.pi - x[i]) * (math.pi - x[j])), j))
-            gates.append(cnot(i, j))
-    return Circuit(n, gates)
-
-
-def map_to_state(x, config: FeatureMapConfig) -> QuantumState:
-    """Run the feature map circuit on |0...0>."""
-    return run_circuit(build_circuit(x, config), zero_state(config.num_features))
-
-
 def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
     """Feature-map states of every row of ``X``, shape (m, 2**n): the gates
-    of :func:`build_circuit` applied to all rows at once with the simulator's
-    arithmetic, so that for two or more features each row equals
-    :func:`map_to_state` bit for bit.
+    of the module docstring applied to all rows at once with the arithmetic
+    of the ``gnss_qsvm.sim`` gate simulator, so that for two or more
+    features each row equals a gate-by-gate run of the circuit on that
+    simulator bit for bit.
 
     The states are held amplitude-major, (2**n, m), and reshaped to one axis
     per qubit, so that the halves a gate acts on are basic-slice views and

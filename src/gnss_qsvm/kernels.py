@@ -10,23 +10,22 @@ first, as exactly this binomial. Sampled entries derive their seed from
 (master seed, row index, column index), so matrices are reproducible
 regardless of evaluation order.
 
-Each entry's value is ``default_rng(pair_seed(seed, i, j)).binomial(shots,
-p) / shots``, but no ``SeedSequence`` or ``Generator`` is built per entry:
-numpy's ``SeedSequence`` hash (NEP 19) runs once over all entries of a block
-as ``uint32`` columns, first for the pair seeds and then for the PCG64 keys
+Entry (i, j) has the value ``default_rng(s).binomial(shots, p) / shots``,
+where s is the first uint64 word of ``SeedSequence([mask_seed(seed), i,
+j])``, but no ``SeedSequence`` or ``Generator`` is built per entry: numpy's
+``SeedSequence`` hash (NEP 19) runs once over all entries of a block as
+``uint32`` columns, first for the entry seeds and then for the PCG64 keys
 that ``default_rng`` derives from them, and one reused generator draws every
 binomial after its state is set to the PCG64 state of that entry's seed.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_int, mask_seed
+from .data import _check_int, _check_positive, mask_seed
 from .errors import DegenerateDataError, DimensionError
 from .feature_map import FeatureMapConfig, statevectors
 
@@ -47,12 +46,6 @@ _U32 = (1 << 32) - 1
 _U128 = (1 << 128) - 1
 
 
-def _check_gamma(gamma) -> None:
-    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) \
-            or not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     mode: str
@@ -68,7 +61,7 @@ class KernelConfig:
         _check_int(self.shots, "shots", int(self.mode == FIDELITY_SAMPLED), MAX_SHOTS)
         _check_int(self.seed, "seed")
         if self.gamma is not None:
-            _check_gamma(self.gamma)
+            _check_positive(self.gamma, "gamma")
 
 
 @dataclass(eq=False)
@@ -77,19 +70,6 @@ class KernelMatrix:
     cols: int
     values: np.ndarray
     symmetric: bool
-
-
-def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for name, v in (("x", x), ("y", y)):
-        if v.ndim != 1:
-            raise DimensionError(f"{name} must be a 1-D feature vector, got shape {v.shape}")
-    if x.shape != y.shape:
-        raise DimensionError(f"feature lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("feature values must be finite")
-    return x, y
 
 
 def _hash_consts(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +117,8 @@ def _seed_state(words: list, n_words: int) -> np.ndarray:
 
 
 def _pair_seeds(master_seed: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``pair_seed(master_seed, i, j)`` for each (i, j) in zip(rows, cols)."""
+    """The first uint64 word of ``SeedSequence([mask_seed(master_seed), i,
+    j])`` for each (i, j) in zip(rows, cols); indices lie in [0, 2**32)."""
     seed = mask_seed(master_seed)
     head = [seed & _U32, seed >> 32] if seed >> 32 else [seed]
     return _seed_state([*head, rows.astype(np.uint32), cols.astype(np.uint32)], 1)[0]
@@ -174,28 +155,6 @@ def _shot_estimates(p: np.ndarray, seeds: np.ndarray, shots: int) -> np.ndarray:
     return out
 
 
-def fidelity_exact(x, y, fm: FeatureMapConfig) -> float:
-    """|<psi(y)|psi(x)>|^2, the all-zeros probability of the
-    compute-uncompute circuit U(y)^-1 U(x) |0...0>."""
-    x, y = _vector_pair(x, y)
-    return float(_block(x[None], y[None], KernelConfig(FIDELITY_EXACT, fm))[0, 0])
-
-
-def fidelity_sampled(x, y, fm: FeatureMapConfig, shots: int, seed: int) -> float:
-    """Shot estimate of the fidelity: fraction of all-zeros outcomes when
-    sampling the compute-uncompute circuit."""
-    _check_int(shots, "shots", 1, MAX_SHOTS)
-    p = np.array([fidelity_exact(x, y, fm)])
-    return float(_shot_estimates(p, np.array([mask_seed(seed)], dtype=np.uint64), shots)[0])
-
-
-def rbf(x, y, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    _check_gamma(gamma)
-    x, y = _vector_pair(x, y)
-    return float(np.exp(-gamma * np.sum((x - y) ** 2)))
-
-
 def default_gamma(X) -> float:
     """1 / (n_features * var), var pooled over every entry of X.
 
@@ -206,16 +165,6 @@ def default_gamma(X) -> float:
     if var <= 0.0:
         raise DegenerateDataError("feature matrix is constant; gamma undefined")
     return 1.0 / (X.shape[1] * var)
-
-
-def pair_seed(master_seed: int, i: int, j: int) -> int:
-    """Deterministic per-entry seed derived from the master seed and the
-    (row, column) indices, independent of evaluation order: the first word
-    of ``SeedSequence([mask_seed(master_seed), i, j])`` as uint64. Indices
-    must lie in [0, 2**32)."""
-    if not (0 <= i <= _U32 and 0 <= j <= _U32):
-        raise ValueError(f"indices must lie in [0, 2**32), got ({i}, {j})")
-    return int(_pair_seeds(master_seed, np.array([i]), np.array([j]))[0])
 
 
 def check_features(X, cfg: KernelConfig | None = None, name: str = "X",

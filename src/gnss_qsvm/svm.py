@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ScalerParams, _check_int, _open_artifact
+from .data import ScalerParams, _check_int, _check_positive, _open_artifact
 from .errors import ConvergenceWarning, DimensionError, InvalidLabelsError, ModelFormatError
 from .feature_map import FeatureMapConfig, statevectors
 from .kernels import (
@@ -83,12 +83,8 @@ class SvmConfig:
     max_passes: int = 10_000
 
     def __post_init__(self):
-        if not 0 < self.C < math.inf:
-            raise ValueError(f"C must be positive and finite, got {self.C}")
-        if not 0 < self.kkt_tolerance < math.inf:
-            raise ValueError(
-                f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}"
-            )
+        _check_positive(self.C, "C")
+        _check_positive(self.kkt_tolerance, "kkt_tolerance")
         _check_int(self.max_passes, "max_passes", 1)
 
 
@@ -152,12 +148,6 @@ def _observables(model: SvmModel) -> _Observables:
             sv_factors.append((k, weighted, sv_states.conj()))
     return _Observables(np.array(w_models, dtype=int), np.hstack(w_blocks), sv_factors,
                         np.array([bm.bias for bm in model.binary_models]))
-
-
-def dual_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
-    """Value of the soft-margin dual at alpha."""
-    coef = alpha * y
-    return float(alpha.sum() - 0.5 * coef @ K @ coef)
 
 
 def solve_binary_smo(

@@ -77,6 +77,32 @@ def overlap_fidelity(x, y, repetitions: int = 2) -> float:
     return float(abs(np.vdot(b, a)) ** 2)
 
 
+def compute_uncompute_fidelity(x, y, repetitions: int = 2) -> float:
+    """All-zeros probability of the compute-uncompute circuit
+    U(y)^-1 U(x) |0...0>."""
+    column = second_order_map_unitary(y, repetitions).conj().T @ second_order_map_unitary(
+        x, repetitions)[:, 0]
+    return float(abs(column[0]) ** 2)
+
+
+def rbf_value(x, y, gamma: float) -> float:
+    """exp(-gamma * ||x - y||^2), the squared distance summed term by term."""
+    return math.exp(-gamma * sum((float(a) - float(b)) ** 2 for a, b in zip(x, y)))
+
+
+def pair_seed(master_seed: int, i: int, j: int) -> int:
+    """Seed of sampled Gram entry (i, j): the first uint64 word of
+    ``SeedSequence([master_seed mod 2**64, i, j])``."""
+    entropy = [master_seed % (1 << 64), i, j]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def shot_estimate(seed: int, shots: int, p: float) -> float:
+    """Fraction of all-zeros outcomes in ``shots`` runs whose all-zeros
+    probability is ``p``, drawn from a fresh ``default_rng(seed)``."""
+    return int(np.random.default_rng(seed).binomial(shots, p)) / shots
+
+
 def dual_value(alpha, y, K) -> float:
     coef = alpha * y
     return float(alpha.sum() - 0.5 * coef @ K @ coef)

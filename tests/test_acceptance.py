@@ -12,20 +12,24 @@ import pytest
 from gnss_qsvm.cli import ExperimentConfig, run_experiment
 from gnss_qsvm.data import Dataset, apply_scaler, fit_scaler, generate_synthetic
 from gnss_qsvm.evaluate import boundary_grid, save_grid_csv
-from gnss_qsvm.feature_map import FeatureMapConfig, map_to_state
 from gnss_qsvm.kernels import (
     FIDELITY_EXACT,
+    FIDELITY_SAMPLED,
     KernelConfig,
-    fidelity_exact,
-    fidelity_sampled,
+    gram_rectangular,
     gram_symmetric,
 )
-from gnss_qsvm.sim import inner_product
-from gnss_qsvm.svm import SvmConfig, dual_objective, solve_binary_smo, train_ovo
+from gnss_qsvm.svm import SvmConfig, solve_binary_smo, train_ovo
 
-from oracles import brute_force_dual_max
+from oracles import (
+    brute_force_dual_max,
+    compute_uncompute_fidelity,
+    dual_value,
+    overlap_fidelity,
+    pair_seed,
+    shot_estimate,
+)
 
-FM2 = FeatureMapConfig(num_features=2)
 SEED = 0
 
 GOLDEN_ACCURACY = {
@@ -53,18 +57,20 @@ def _experiment(train, test, model, raw, outdir, grid_resolution=None):
 
 def test_criterion_1_compute_uncompute_oracle_equivalence():
     rng = np.random.default_rng(100)
+    pairs = [(rng.uniform(0, 1, size=2), rng.uniform(0, 1, size=2)) for _ in range(100)]
+    cfg = KernelConfig(mode=FIDELITY_EXACT)
+    # The bound times the kernel alone; the oracles run after it.
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        x = rng.uniform(0, 1, size=2)
-        y = rng.uniform(0, 1, size=2)
-        via_circuit = fidelity_exact(x, y, FM2)
-        via_overlap = abs(inner_product(map_to_state(y, FM2), map_to_state(x, FM2))) ** 2
-        worst = max(worst, abs(via_circuit - via_overlap))
-        assert abs(via_circuit - via_overlap) <= 1e-10
+    via_kernel = [gram_rectangular([x], [y], cfg).values[0, 0] for x, y in pairs]
     elapsed = time.perf_counter() - start
+    worst = 0.0
+    for value, (x, y) in zip(via_kernel, pairs):
+        diff = max(abs(value - compute_uncompute_fidelity(x, y)),
+                   abs(value - overlap_fidelity(x, y)))
+        worst = max(worst, diff)
+        assert diff <= 1e-10
     assert elapsed < 1.0
-    print(f"\nACCEPTANCE 1 PASS: compute-uncompute vs inner product, "
+    print(f"\nACCEPTANCE 1 PASS: kernel vs compute-uncompute and inner-product oracles, "
           f"max |diff| {worst:.2e} over 100 pairs in {elapsed:.2f}s")
 
 
@@ -90,8 +96,10 @@ def test_criterion_3_shot_estimator_at_1000_shots():
     for seed in range(50):
         x = rng.uniform(0, 1, size=2)
         y = rng.uniform(0, 1, size=2)
-        exact = fidelity_exact(x, y, FM2)
-        sampled = fidelity_sampled(x, y, FM2, shots=1000, seed=seed)
+        exact = overlap_fidelity(x, y)
+        cfg = KernelConfig(mode=FIDELITY_SAMPLED, shots=1000, seed=seed)
+        sampled = gram_rectangular([x], [y], cfg).values[0, 0]
+        assert sampled == shot_estimate(pair_seed(seed, 0, 0), 1000, exact)
         deviations.append(abs(sampled - exact))
     elapsed = time.perf_counter() - start
     mean_dev = float(np.mean(deviations))
@@ -122,7 +130,7 @@ def test_criterion_4_smo_optimality_oracle():
             y[0] = -y[0]
         C = float(rng.choice([0.3, 1.0, 10.0]))
         model = solve_binary_smo(K, y, SvmConfig(C=C))
-        achieved = dual_objective(model.alpha, model.y, K)
+        achieved = dual_value(model.alpha, model.y, K)
         reference = brute_force_dual_max(K, y, C)
         worst_gap = max(worst_gap, abs(achieved - reference))
         assert achieved == pytest.approx(reference, abs=1e-3)

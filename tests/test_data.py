@@ -19,7 +19,7 @@ from gnss_qsvm.data import (
     load_csv,
     write_csv,
 )
-from gnss_qsvm.errors import CsvParseError, DegenerateDataError
+from gnss_qsvm.errors import CsvParseError, DegenerateDataError, DimensionError
 from gnss_qsvm.evaluate import boundary_grid, make_report, save_confusion_csv, save_grid_csv
 from gnss_qsvm.kernels import RBF, KernelConfig
 from gnss_qsvm.svm import SvmConfig, save_model, train_ovo
@@ -218,6 +218,17 @@ class TestScaler:
         params = fit_scaler(ds, 0.0, 1.0)
         values = np.array([[0.25, 0.75]])
         assert apply_scaler(params, values).tolist() == values.tolist()
+
+    @pytest.mark.parametrize("values", [[[0.5], [0.25]], [0.5, 0.25], [[0.5, 0.25, 0.75]]],
+                             ids=["one-column", "1-D", "three-column"])
+    def test_input_must_be_a_two_column_matrix(self, values):
+        params = fit_scaler(make_dataset([(0.0, 10.0, "LOS"), (10.0, 50.0, "NLOS")]))
+        with pytest.raises(DimensionError, match=r"expected an \(m, 2\) feature matrix"):
+            apply_scaler(params, values)
+
+    def test_empty_dataset_scales_to_an_empty_matrix(self):
+        params = fit_scaler(make_dataset([(0.0, 10.0, "LOS"), (10.0, 50.0, "NLOS")]))
+        assert apply_scaler(params, Dataset([])).shape == (0, 2)
 
     def test_constant_feature_rejected(self):
         ds = make_dataset([(5.0, 10.0, "LOS"), (5.0, 50.0, "NLOS")])

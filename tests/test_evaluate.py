@@ -126,6 +126,11 @@ class TestBoundaryGrid:
         grid = boundary_grid(_constant_model(1.0), scaler, resolution=2)
         assert grid.span == (0.0, 2.0)
 
+    def test_raw_model_rejected(self):
+        # A model trained without a scaler has no scaled square to span.
+        with pytest.raises(ValueError, match="retrain without --raw"):
+            boundary_grid(_constant_model(1.0), None, resolution=3)
+
     def test_non_2d_model_rejected(self):
         model = _constant_model(1.0)
         model.training_features = np.zeros((2, 3))

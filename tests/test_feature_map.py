@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from gnss_qsvm.errors import DimensionError
-from gnss_qsvm.feature_map import (
-    FeatureMapConfig,
-    build_circuit,
-    map_to_state,
-    statevectors,
-)
+from gnss_qsvm.feature_map import FeatureMapConfig, statevectors
 from gnss_qsvm.evaluate import grid_centers
 from gnss_qsvm.sim import MAX_QUBITS, QuantumState, run_circuit
 
+from gatesim import build_circuit, map_to_state
 from oracles import mapped_state, second_order_map_unitary
 
 FM2 = FeatureMapConfig(num_features=2)

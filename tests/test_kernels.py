@@ -6,7 +6,6 @@ import pytest
 
 from gnss_qsvm.data import Dataset, apply_scaler, fit_scaler, generate_synthetic, mask_seed
 from gnss_qsvm.errors import DegenerateDataError, DimensionError
-from gnss_qsvm.feature_map import FeatureMapConfig, map_to_state
 from gnss_qsvm.kernels import (
     FIDELITY_EXACT,
     FIDELITY_SAMPLED,
@@ -17,26 +16,41 @@ from gnss_qsvm.kernels import (
     _pcg64_states,
     _shot_estimates,
     default_gamma,
-    fidelity_exact,
-    fidelity_sampled,
     gram_rectangular,
     gram_symmetric,
-    pair_seed,
-    rbf,
 )
-from gnss_qsvm.sim import inner_product
 
-from oracles import second_order_map_unitary
+from oracles import (
+    compute_uncompute_fidelity,
+    overlap_fidelity,
+    pair_seed,
+    rbf_value,
+    second_order_map_unitary,
+    shot_estimate,
+)
 
-FM2 = FeatureMapConfig(num_features=2)
+EXACT = KernelConfig(FIDELITY_EXACT)
 
-# fidelity_exact((0.5, 0.5), (0.1, 0.9)), frozen from the statevector
-# inner-product oracle |<psi(y)|psi(x)>|^2.
+# |<psi(y)|psi(x)>|^2 for x = (0.5, 0.5), y = (0.1, 0.9), frozen from the
+# statevector inner-product oracle.
 GOLDEN_FIDELITY = 0.31806752067069
+
+# The 100,000-shot estimate of that overlap at master seed 7, frozen from
+# default_rng(pair_seed(7, 0, 0)).binomial(100000, GOLDEN_FIDELITY) / 100000.
+GOLDEN_SAMPLED_ESTIMATE = 0.3168
 
 # default_gamma on the scaled 193-sample T0+T1 synthetic pool at seed 0,
 # frozen from evaluating 1/(d * pooled variance) directly.
 GOLDEN_GAMMA = 6.619457406598038
+
+
+def _entry(x, y, cfg: KernelConfig) -> float:
+    """k(x, y): the one entry of the 1 x 1 rectangular block."""
+    return float(gram_rectangular([x], [y], cfg).values[0, 0])
+
+
+def _sampled(shots: int, seed: int) -> KernelConfig:
+    return KernelConfig(FIDELITY_SAMPLED, shots=shots, seed=seed)
 
 
 class TestFidelityExact:
@@ -44,82 +58,90 @@ class TestFidelityExact:
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.uniform(0, 1, size=2)
-            assert fidelity_exact(x, x, FM2) == pytest.approx(1.0, abs=1e-10)
+            assert _entry(x, x, EXACT) == pytest.approx(1.0, abs=1e-10)
 
     def test_pi_pair(self):
-        assert fidelity_exact([math.pi, math.pi], [math.pi, math.pi], FM2) == pytest.approx(
+        assert _entry([math.pi, math.pi], [math.pi, math.pi], EXACT) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_golden_value(self):
-        value = fidelity_exact([0.5, 0.5], [0.1, 0.9], FM2)
+        value = _entry([0.5, 0.5], [0.1, 0.9], EXACT)
         assert value == pytest.approx(GOLDEN_FIDELITY, abs=1e-12)
+        oracle = overlap_fidelity([0.5, 0.5], [0.1, 0.9])
+        assert oracle == pytest.approx(GOLDEN_FIDELITY, abs=1e-12)
         assert 0.0 < value < 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            fidelity_exact([0.1], [0.1, 0.2], FM2)
+            gram_rectangular([[0.1]], [[0.1, 0.2]], EXACT)
 
 
 class TestFidelitySampled:
+    """Entry (0, 0) of a sampled 1 x 1 block, the estimate seeded with
+    pair_seed(seed, 0, 0)."""
+
     def test_identical_inputs_always_one(self):
         for shots in (1, 10, 1000):
-            assert fidelity_sampled([0.4, 0.6], [0.4, 0.6], FM2, shots, seed=3) == 1.0
+            assert _entry([0.4, 0.6], [0.4, 0.6], _sampled(shots, 3)) == 1.0
 
     def test_golden_seeded_estimate(self):
-        estimate = fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, 100000, seed=7)
-        assert estimate == 0.31785
+        x, y = [0.5, 0.5], [0.1, 0.9]
+        estimate = _entry(x, y, _sampled(100000, 7))
+        assert estimate == shot_estimate(pair_seed(7, 0, 0), 100000, overlap_fidelity(x, y))
+        assert estimate == GOLDEN_SAMPLED_ESTIMATE
         assert abs(estimate - GOLDEN_FIDELITY) < 0.01
 
     def test_single_shot_is_bernoulli(self):
-        values = {
-            fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, 1, seed=s) for s in range(20)
-        }
+        values = {_entry([0.5, 0.5], [0.1, 0.9], _sampled(1, s)) for s in range(20)}
         assert values <= {0.0, 1.0}
         assert len(values) == 2  # both outcomes occur across seeds
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
-            fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, 0, seed=0)
+            _sampled(0, 0)
 
     @pytest.mark.parametrize("seed", [2.5, 2.0, True, None])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
-            fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, 100, seed=seed)
+            _sampled(100, seed)
 
     def test_negative_seed_accepted(self):
         # Seeds are taken modulo 2**64, as SeedSequence needs them unsigned.
-        x, y = [0.5, 0.5], [0.1, 0.9]
-        estimate = fidelity_sampled(x, y, FM2, 100, seed=-42)
-        assert estimate == fidelity_sampled(x, y, FM2, 100, seed=(1 << 64) - 42)
+        X = np.random.default_rng(6).uniform(0, 1, size=(5, 2))
+        block = gram_symmetric(X, _sampled(100, -42)).values
+        assert block.tobytes() == gram_symmetric(X, _sampled(100, (1 << 64) - 42)).values.tobytes()
 
     @pytest.mark.parametrize("shots", [1, 8, 1000])
     def test_equals_all_zeros_count_of_circuit_histogram(self, shots):
         # Reference: the full outcome histogram of the compute-uncompute
-        # circuit U(y)^-1 U(x) |0...0>, drawn with the same seed; the
+        # circuit U(y)^-1 U(x) |0...0>, drawn with the entry's seed; the
         # estimate must be its all-zeros count over the shots.
         rng = np.random.default_rng(shots)
         for seed in range(300):
             x, y = rng.uniform(0, 1, size=(2, 2))
             column = second_order_map_unitary(y).conj().T @ second_order_map_unitary(x)[:, 0]
             probs = np.abs(column) ** 2
-            counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
-            assert fidelity_sampled(x, y, FM2, shots, seed) == counts[0] / shots
+            counts = np.random.default_rng(pair_seed(seed, 0, 0)).multinomial(
+                shots, probs / probs.sum())
+            assert _entry(x, y, _sampled(shots, seed)) == counts[0] / shots
 
 
 class TestRbf:
     def test_self_similarity(self):
-        assert rbf([1.2, 3.4], [1.2, 3.4], gamma=0.7) == 1.0
+        assert _entry([1.2, 3.4], [1.2, 3.4], KernelConfig(RBF, gamma=0.7)) == 1.0
 
     def test_unit_distance(self):
-        assert rbf([0, 0], [1, 0], gamma=1.0) == pytest.approx(math.exp(-1), abs=1e-12)
+        value = _entry([0, 0], [1, 0], KernelConfig(RBF, gamma=1.0))
+        assert value == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_three_four_five(self):
-        assert rbf([0, 0], [3, 4], gamma=0.1) == pytest.approx(math.exp(-2.5), abs=1e-12)
+        value = _entry([0, 0], [3, 4], KernelConfig(RBF, gamma=0.1))
+        assert value == pytest.approx(math.exp(-2.5), abs=1e-12)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
-            rbf([0, 0], [1, 1], gamma=0.0)
+            KernelConfig(RBF, gamma=0.0)
 
 
 class TestDefaultGamma:
@@ -155,11 +177,13 @@ class TestGramSymmetric:
     def test_matches_per_entry_recomputation(self):
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 1, size=(10, 2))
-        km = gram_symmetric(X, KernelConfig(mode=FIDELITY_EXACT))
+        exact = gram_symmetric(X, EXACT).values
+        rbf = gram_symmetric(X, KernelConfig(RBF, gamma=1.7)).values
         for i in range(10):
             for j in range(10):
-                expected = 1.0 if i == j else fidelity_exact(X[i], X[j], FM2)
-                assert km.values[i, j] == pytest.approx(expected, abs=1e-12)
+                expected = 1.0 if i == j else overlap_fidelity(X[i], X[j])
+                assert exact[i, j] == pytest.approx(expected, abs=1e-12)
+                assert rbf[i, j] == pytest.approx(rbf_value(X[i], X[j], 1.7), abs=1e-12)
 
     def test_sampled_symmetric_by_construction(self):
         rng = np.random.default_rng(9)
@@ -176,9 +200,7 @@ class TestGramSymmetric:
         km = gram_symmetric(X, cfg)
         for i in range(5):
             for j in range(i + 1, 5):
-                expected = fidelity_sampled(
-                    X[i], X[j], FM2, 128, pair_seed(77, i, j)
-                )
+                expected = shot_estimate(pair_seed(77, i, j), 128, overlap_fidelity(X[i], X[j]))
                 assert km.values[i, j] == expected
 
     def test_rbf_requires_gamma(self):
@@ -209,12 +231,12 @@ class TestGramRectangular:
         rng = np.random.default_rng(12)
         A = rng.uniform(0, 1, size=(3, 2))
         B = rng.uniform(0, 1, size=(5, 2))
-        km = gram_rectangular(A, B, KernelConfig(mode=FIDELITY_EXACT))
+        exact = gram_rectangular(A, B, EXACT).values
+        rbf = gram_rectangular(A, B, KernelConfig(RBF, gamma=1.7)).values
         for i in range(3):
             for j in range(5):
-                assert km.values[i, j] == pytest.approx(
-                    fidelity_exact(A[i], B[j], FM2), abs=1e-12
-                )
+                assert exact[i, j] == pytest.approx(overlap_fidelity(A[i], B[j]), abs=1e-12)
+                assert rbf[i, j] == pytest.approx(rbf_value(A[i], B[j], 1.7), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -242,29 +264,25 @@ class TestInvariants:
             assert np.linalg.eigvalsh(km.values).min() >= -1e-8
 
     def test_compute_uncompute_matches_inner_product(self):
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            x = rng.uniform(0, 1, size=2)
-            y = rng.uniform(0, 1, size=2)
-            direct = abs(inner_product(map_to_state(y, FM2), map_to_state(x, FM2))) ** 2
-            assert fidelity_exact(x, y, FM2) == pytest.approx(direct, abs=1e-10)
+        # The kernel's inner products of batched states against the
+        # compute-uncompute circuit's all-zeros probability.
+        X, Y = np.random.default_rng(14).uniform(0, 1, size=(2, 100, 2))
+        K = gram_rectangular(X, Y, EXACT).values
+        for k, (x, y) in enumerate(zip(X, Y)):
+            assert K[k, k] == pytest.approx(compute_uncompute_fidelity(x, y), abs=1e-10)
 
     def test_exact_kernel_symmetric(self):
-        rng = np.random.default_rng(15)
-        for _ in range(50):
-            x = rng.uniform(0, 1, size=2)
-            y = rng.uniform(0, 1, size=2)
-            assert fidelity_exact(x, y, FM2) == pytest.approx(
-                fidelity_exact(y, x, FM2), abs=1e-12
-            )
+        A, B = np.random.default_rng(15).uniform(0, 1, size=(2, 50, 2))
+        assert np.allclose(gram_rectangular(A, B, EXACT).values,
+                           gram_rectangular(B, A, EXACT).values.T, rtol=0, atol=1e-12)
 
     def test_sampled_estimator_within_concentration_bound(self):
         x, y = np.array([0.3, 0.8]), np.array([0.6, 0.2])
-        exact = fidelity_exact(x, y, FM2)
+        exact = overlap_fidelity(x, y)
         for shots in (200, 1000):
             bound = 4 * math.sqrt(exact * (1 - exact) / shots) + 2 / shots
             for seed in range(50):
-                estimate = fidelity_sampled(x, y, FM2, shots, seed)
+                estimate = _entry(x, y, _sampled(shots, seed))
                 assert abs(estimate - exact) <= bound
 
     def test_values_in_unit_interval(self):
@@ -305,16 +323,15 @@ class TestKernelConfig:
 
 
 @pytest.mark.parametrize("kernel", [
-    lambda x, y: fidelity_exact(x, y, FM2),
-    lambda x, y: fidelity_sampled(x, y, FM2, 16, 0),
-    lambda x, y: rbf(x, y, 1.0),
+    EXACT, _sampled(16, 0), KernelConfig(RBF, gamma=1.0),
 ], ids=["exact", "sampled", "rbf"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pointwise_kernels_reject_non_finite(kernel, bad):
+    # A single kernel value is the one entry of a 1 x 1 block.
     with pytest.raises(ValueError, match="finite"):
-        kernel([0.5, bad], [0.5, 0.5])
+        _entry([0.5, bad], [0.5, 0.5], kernel)
     with pytest.raises(ValueError, match="finite"):
-        kernel([0.5, 0.5], [bad, 0.5])
+        _entry([0.5, 0.5], [bad, 0.5], kernel)
 
 
 def test_default_gamma_rejects_non_finite():
@@ -327,10 +344,6 @@ def test_default_gamma_rejects_non_finite():
 ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -42] + [
     int(v) for v in np.random.default_rng(2024).integers(-(2**63), 2**63 - 1, size=4)
 ] + [int(v) for v in np.random.default_rng(2025).integers(0, 2**32, size=2)]
-
-
-def _numpy_pair_seed(seed, i, j):
-    return int(np.random.SeedSequence([mask_seed(seed), i, j]).generate_state(1, np.uint64)[0])
 
 
 def _numpy_pcg64_state(seed):
@@ -347,19 +360,13 @@ class TestBatchedSeeding:
         rows, cols = np.indices((12, 12)).reshape(2, -1)
         rows = np.concatenate([rows, [0, 2**31, 2**32 - 1, 65536]])
         cols = np.concatenate([cols, [2**32 - 1, 3, 2**32 - 1, 0]])
-        expected = [_numpy_pair_seed(seed, int(i), int(j)) for i, j in zip(rows, cols)]
+        expected = [pair_seed(seed, int(i), int(j)) for i, j in zip(rows, cols)]
         assert _pair_seeds(seed, rows, cols).tolist() == expected
-        assert [pair_seed(seed, int(i), int(j)) for i, j in zip(rows, cols)] == expected
 
     def test_oracle_seeds_cover_both_entropy_lengths(self):
         # SeedSequence takes a masked seed below 2**32 as one uint32 word.
         words = {1 if mask_seed(s) < 2**32 else 2 for s in ORACLE_SEEDS}
         assert words == {1, 2}
-
-    def test_pair_seed_rejects_indices_outside_uint32(self):
-        for i, j in [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)]:
-            with pytest.raises(ValueError, match="indices"):
-                pair_seed(0, i, j)
 
     @pytest.mark.parametrize("kind", ["one-word", "two-word", "mixed"])
     def test_pcg64_states_match_default_rng(self, kind):
@@ -381,8 +388,7 @@ class TestBatchedSeeding:
                             rng.uniform(0, 1, size=200)]).clip(0, 1)
         seeds = rng.integers(0, 2**64, size=p.size, dtype=np.uint64)
         seeds[:3] = [0, 2**32 - 1, 2**64 - 1]
-        expected = [int(np.random.default_rng(int(s)).binomial(shots, pk)) / shots
-                    for s, pk in zip(seeds.tolist(), p.tolist())]
+        expected = [shot_estimate(s, shots, pk) for s, pk in zip(seeds.tolist(), p.tolist())]
         assert _shot_estimates(p, seeds, shots).tolist() == expected
 
     def test_single_point_gram_has_no_sampled_entries(self):
@@ -396,7 +402,7 @@ class TestBatchedSeeding:
         km = gram_rectangular([x], X, KernelConfig(FIDELITY_SAMPLED, shots=50, seed=seed))
         assert km.values.shape == (1, 7)
         assert km.values[0].tolist() == [
-            fidelity_sampled(x, X[j], FM2, 50, pair_seed(seed, 0, j)) for j in range(7)
+            shot_estimate(pair_seed(seed, 0, j), 50, overlap_fidelity(x, X[j])) for j in range(7)
         ]
 
 
@@ -433,8 +439,6 @@ def test_sampled_gram_matches_golden_bytes(scaled_t0, shots, seed):
 def test_non_finite_or_non_positive_gamma_rejected(gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         KernelConfig(mode=RBF, gamma=gamma)
-    with pytest.raises(ValueError, match="gamma must be positive and finite"):
-        rbf([0.5, 0.5], [0.5, 0.5], gamma)
 
 
 @pytest.mark.parametrize("shots", [0, -1, 2.5, 3.0, np.float64(4), True, False, "8",
@@ -442,8 +446,6 @@ def test_non_finite_or_non_positive_gamma_rejected(gamma):
 def test_shots_must_be_an_int_in_range(shots):
     with pytest.raises(ValueError, match="shots must be an integer"):
         KernelConfig(mode=FIDELITY_SAMPLED, shots=shots)
-    with pytest.raises(ValueError, match="shots must be an integer"):
-        fidelity_sampled([0.5, 0.5], [0.1, 0.9], FM2, shots, seed=0)
 
 
 @pytest.mark.parametrize("mode", [FIDELITY_EXACT, FIDELITY_SAMPLED, RBF])
@@ -462,5 +464,5 @@ def test_any_integer_seed_accepted(seed):
 def test_shots_range_ends_accepted(shots):
     assert KernelConfig(mode=FIDELITY_SAMPLED, shots=shots).shots == shots
     x, y = [0.5, 0.5], [0.1, 0.9]
-    expected = int(np.random.default_rng(0).binomial(shots, fidelity_exact(x, y, FM2))) / shots
-    assert fidelity_sampled(x, y, FM2, shots, seed=0) == expected
+    expected = shot_estimate(pair_seed(0, 0, 0), shots, overlap_fidelity(x, y))
+    assert _entry(x, y, _sampled(shots, 0)) == expected

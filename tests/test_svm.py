@@ -26,7 +26,6 @@ from gnss_qsvm.svm import (
     BinaryModel,
     SvmConfig,
     SvmModel,
-    dual_objective,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -36,7 +35,7 @@ from gnss_qsvm.svm import (
     train_ovo,
 )
 
-from oracles import brute_force_dual_max, platt_smo
+from oracles import brute_force_dual_max, dual_value, platt_smo
 
 IDENTITY_GRAM = np.eye(2)
 
@@ -116,7 +115,7 @@ class TestSolveBinarySmo:
                 y[0] = -y[0]
             C = float(rng.choice([0.3, 1.0, 10.0]))
             model = solve_binary_smo(K, y, SvmConfig(C=C))
-            achieved = dual_objective(model.alpha, model.y, K)
+            achieved = dual_value(model.alpha, model.y, K)
             assert achieved == pytest.approx(brute_force_dual_max(K, y, C), abs=1e-3)
 
     def test_deterministic(self):
@@ -134,7 +133,7 @@ class TestSolveBinarySmo:
 
 class TestSvmConfig:
     @pytest.mark.parametrize("field", ["C", "kkt_tolerance"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan, True, "1", [1]])
     def test_non_positive_or_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             SvmConfig(**{field: value})
