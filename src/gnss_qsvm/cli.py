@@ -81,9 +81,7 @@ def _load_source(source: str, seed: int) -> Dataset:
 
 
 def _load_many(sources: list[str], seed: int) -> Dataset:
-    datasets = [_load_source(s, seed) for s in sources]
-    samples = [s for d in datasets for s in d.samples]
-    return Dataset(samples=samples, name="+".join(d.name for d in datasets))
+    return Dataset(samples=[s for src in sources for s in _load_source(src, seed).samples])
 
 
 def _kernel_config(config: ExperimentConfig) -> KernelConfig:

@@ -70,7 +70,6 @@ class SignalSample:
 @dataclass(eq=False)
 class Dataset:
     samples: list[SignalSample]
-    name: str = ""
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -136,7 +135,7 @@ def load_csv(path) -> Dataset:
             raise CsvParseError(f"{path}:{lineno}: {exc}") from None
     if not samples:
         raise CsvParseError(f"{path}: no data rows")
-    return Dataset(samples=samples, name=path.stem)
+    return Dataset(samples=samples)
 
 
 def _open_in_place(path, flags):
@@ -235,4 +234,4 @@ def generate_synthetic(preset: str, seed: int = 0) -> Dataset:
         samples.extend(
             SignalSample(float(c), float(e), label) for c, e in zip(cn0, elevation)
         )
-    return Dataset(samples=samples, name=preset)
+    return Dataset(samples=samples)

@@ -18,7 +18,8 @@ class CsvParseError(ValueError):
 
 
 class InvalidLabelsError(ValueError):
-    """Label set is unusable for training (single class, unknown or missing labels)."""
+    """Label set is unusable for training (single class, unknown or missing labels),
+    or a model's binary models are not the one-vs-one pairs of its classes."""
 
 
 class ModelFormatError(ValueError):

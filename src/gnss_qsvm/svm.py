@@ -25,7 +25,9 @@ IEEE arithmetic in the same order:
 - the step test picks its same-label mask from two precomputed label
   masks.
 
-Multiclass uses one-vs-one voting.
+Multiclass uses one-vs-one voting: an ``SvmModel`` holds binary model k for
+pair k of ``itertools.combinations(classes, 2)``, over at least two distinct
+classes, and checks that layout when it is built.
 
 With the exact fidelity kernel a binary model is a measured observable
 (Schuld 2021, arXiv:2101.11020): its decision value on a state psi(x) is
@@ -35,15 +37,13 @@ With the exact fidelity kernel a binary model is a measured observable
 
 the sums running over the support vectors. A model derives each W from the
 training states when it is trained or loaded, and never writes it to
-``model.json``. W holds 4**n complex numbers, so a binary model keeps it
-only when 2**n is at most its support-vector count; otherwise it keeps its
-weighted support-vector states, whose product is W. Prediction then needs
-only the test states and one product with every W side by side, and both
-kinds of model finish with the same per-row sum Re sum_j (conj(psi) W)_j
-psi_j. The dual's clip of each overlap to [0, 1] has no counterpart: it
-only ever acted on rounding noise. The sampled and RBF kernels keep the
-dual sum over the kernel row, also as a per-row sum; only the sampled
-kernel's entries still depend on the batch, through their seeds.
+``model.json``; W holds 4**n complex numbers per binary model (16 MB at
+n = 10). Prediction then needs only the test states and one product with
+every W side by side, then the per-row sum Re sum_j (conj(psi) W)_j psi_j.
+The dual's clip of each overlap to [0, 1] has no counterpart: it only ever
+acted on rounding noise. The sampled and RBF kernels keep the dual sum over
+the kernel row, also as a per-row sum; only the sampled kernel's entries
+still depend on the batch, through their seeds.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import NamedTuple
+from itertools import combinations
 
 import numpy as np
 
@@ -98,56 +98,43 @@ class BinaryModel:
     converged: bool = True
 
 
-class _Observables(NamedTuple):
-    """The binary models of an exact-kernel model as measurements: model k's
-    decision on psi is Re sum((conj(psi) @ W_k) * psi) + bias[k]. A named
-    tuple, since a frozen dataclass takes six times longer to create at
-    import."""
-    w_models: np.ndarray  # the models measured through W, in model order
-    w_cat: np.ndarray  # (2**n, 2**n * len(w_models)): their W side by side
-    sv_factors: list  # (k, weighted states (2**n, s), conj states (s, 2**n)): W_k's factors
-    bias: np.ndarray
-
-
 @dataclass(eq=False)
 class SvmModel:
     classes: list
     binary_models: list
     kernel_config: KernelConfig
     training_features: np.ndarray
-    observables: _Observables | None = field(init=False, repr=False, default=None)
+    # Exact kernel only: every binary model's W side by side, in model order.
+    observables: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        pairs = list(combinations(self.classes, 2))
+        if len(set(self.classes)) != len(self.classes) or not pairs \
+                or [bm.label_pair for bm in self.binary_models] != pairs:
+            raise InvalidLabelsError(
+                f"binary models {[bm.label_pair for bm in self.binary_models]} are not the "
+                f"one-vs-one pairs of at least two distinct classes {self.classes}")
         if self.kernel_config.mode == FIDELITY_EXACT:
             self.observables = _observables(self)
 
 
-def _observables(model: SvmModel) -> _Observables:
-    """Each binary model's W = sum_i c_i |psi_i><psi_i| over its support
-    vectors, as the product of its weighted states (columns c_i psi_i) and
-    conjugate states; a model with fewer support vectors than 2**n keeps the
-    two factors instead."""
+def _observables(model: SvmModel) -> np.ndarray:
+    """(2**n, 2**n * len(binary_models)): each binary model's
+    W = sum_i c_i |psi_i><psi_i| over its support vectors, side by side."""
     states = statevectors(model.training_features, model.kernel_config.feature_map)
-    dim = states.shape[1]
-    w_models, w_blocks, sv_factors = [], [np.empty((dim, 0), dtype=complex)], []
-    for k, bm in enumerate(model.binary_models):
+    blocks = []
+    for bm in model.binary_models:
         support = bm.alpha > 0
         sv_states = states[bm.training_indices[support]]
-        weighted = sv_states.T * (bm.alpha * bm.y)[support]
-        if dim <= len(sv_states):
-            # The product is Hermitian only to rounding; its Hermitian part
-            # measures the same Re <psi|W|psi> and is Hermitian exactly. The
-            # vector loops of that step also matter on an AVX-512 Xeon with
-            # numpy 2.4's OpenBLAS: its zgemm leaves the upper vector
-            # registers dirty, and plain Python code after a build ending on
-            # it ran about 40% slower.
-            W = weighted @ sv_states.conj()
-            w_models.append(k)
-            w_blocks.append((W + W.conj().T) / 2)
-        else:
-            sv_factors.append((k, weighted, sv_states.conj()))
-    return _Observables(np.array(w_models, dtype=int), np.hstack(w_blocks), sv_factors,
-                        np.array([bm.bias for bm in model.binary_models]))
+        W = (sv_states.T * (bm.alpha * bm.y)[support]) @ sv_states.conj()
+        # The product is Hermitian only to rounding; its Hermitian part
+        # measures the same Re <psi|W|psi> and is Hermitian exactly. The
+        # vector loops of that step also matter on an AVX-512 Xeon with
+        # numpy 2.4's OpenBLAS: its zgemm leaves the upper vector registers
+        # dirty, and plain Python code after a build ending on it ran about
+        # 40% slower.
+        blocks.append((W + W.conj().T) / 2)
+    return np.hstack(blocks)
 
 
 def solve_binary_smo(
@@ -390,14 +377,12 @@ def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> Sv
     gram = gram_symmetric(X, kcfg).values
     label_arr = np.array(labels, dtype=object)
     models = []
-    for ai in range(len(classes)):
-        for bi in range(ai + 1, len(classes)):
-            a, b = classes[ai], classes[bi]
-            idx = np.flatnonzero((label_arr == a) | (label_arr == b))
-            y = np.where(label_arr[idx] == a, 1.0, -1.0)
-            models.append(solve_binary_smo(
-                gram[np.ix_(idx, idx)], y, cfg, label_pair=(a, b), training_indices=idx
-            ))
+    for a, b in combinations(classes, 2):
+        idx = np.flatnonzero((label_arr == a) | (label_arr == b))
+        y = np.where(label_arr[idx] == a, 1.0, -1.0)
+        models.append(solve_binary_smo(
+            gram[np.ix_(idx, idx)], y, cfg, label_pair=(a, b), training_indices=idx
+        ))
     return SvmModel(
         classes=classes,
         binary_models=models,
@@ -418,19 +403,15 @@ def _decisions(model: SvmModel, X) -> np.ndarray:
         # summed along itself for every batch size.
         return np.column_stack([(K.take(bm.training_indices, axis=1) * (bm.alpha * bm.y))
                                 .sum(axis=1) + bm.bias for bm in model.binary_models])
-    obs = model.observables
     psi = statevectors(check_features(X, cfg, "X_test"), cfg.feature_map)
     m, dim = psi.shape
     # A doubled row keeps a one-row batch on gemm, as in kernels._block.
     if m == 1:
         psi = np.repeat(psi, 2, axis=0)
-    rows = psi.conj()
-    # rows @ W_k for every model k, then Re sum_j (rows @ W_k)_j psi_j per row.
-    rows_w = np.empty((len(psi), len(obs.bias), dim), dtype=complex)
-    rows_w[:, obs.w_models] = (rows @ obs.w_cat).reshape(len(psi), len(obs.w_models), dim)
-    for k, weighted, conj_states in obs.sv_factors:
-        rows_w[:, k] = (rows @ weighted) @ conj_states
-    return ((rows_w * psi[:, None, :]).real.sum(axis=2) + obs.bias)[:m]
+    # conj(psi) @ W_k for every model k, then Re sum_j (conj(psi) @ W_k)_j psi_j per row.
+    rows_w = (psi.conj() @ model.observables).reshape(len(psi), -1, dim)
+    bias = np.array([bm.bias for bm in model.binary_models])
+    return ((rows_w * psi[:, None, :]).real.sum(axis=2) + bias)[:m]
 
 
 def predict(model: SvmModel, X) -> list:
@@ -438,22 +419,20 @@ def predict(model: SvmModel, X) -> list:
     class. Vote ties break on the larger sum of winning |decision| margins,
     then on the lower class index."""
     decisions = _decisions(model, X)
-    class_index = {c: i for i, c in enumerate(model.classes)}
-    # Class-major; a loser's margin gains 0.0, which leaves every sum exact.
-    votes = np.zeros((len(model.classes), len(decisions)), dtype=int)
-    margins = np.zeros(votes.shape)
-    for bm, d in zip(model.binary_models, decisions.T):
-        ai, bi = class_index[bm.label_pair[0]], class_index[bm.label_pair[1]]
-        win, margin = d > 0, np.abs(d)
-        votes[ai] += win
-        votes[bi] += ~win
-        margins[ai] += np.where(win, margin, 0.0)
-        margins[bi] += np.where(win, 0.0, margin)
+    n_classes = len(model.classes)
+    # Model k is pair k of combinations(classes, 2), checked by SvmModel.
+    first, second = np.array(list(combinations(range(n_classes), 2))).T
+    # (m, K, C): model k's winner on each row, one-hot over the classes. Sums
+    # along K run in model order, and a loser's margin gains 0.0, which
+    # leaves every sum exact.
+    won = np.where(decisions > 0, first, second)[..., None] == np.arange(n_classes)
+    votes = won.sum(axis=1)
+    margins = np.where(won, np.abs(decisions)[..., None], 0.0).sum(axis=1)
 
     # Among the classes with the most votes, the largest margin sum wins;
     # argmax takes the first of equal maxima, so the lowest index breaks ties.
-    tied = np.where(votes == votes.max(axis=0), margins, -np.inf)
-    return [model.classes[w] for w in np.argmax(tied, axis=0)]
+    tied = np.where(votes == votes.max(axis=1, keepdims=True), margins, -np.inf)
+    return [model.classes[w] for w in tied.argmax(axis=1).tolist()]
 
 
 @dataclass(eq=False)
@@ -527,18 +506,15 @@ def _from_section(cls, section, what: str, **convert):
         raise ModelFormatError(f"invalid {what}: {exc!r}") from exc
 
 
-def _check_binary_model(bm: BinaryModel, classes: list, n_train: int) -> None:
+def _check_binary_model(bm: BinaryModel, n_train: int) -> None:
     pair = f"binary model {bm.label_pair!r}"
-    if len(bm.label_pair) != 2 or bm.label_pair[0] == bm.label_pair[1] \
-            or any(c not in classes for c in bm.label_pair):
-        raise ModelFormatError(f"{pair}: label pair is not two distinct classes of {classes}")
     if bm.alpha.ndim != 1 or not bm.alpha.shape == bm.y.shape == bm.training_indices.shape:
         raise ModelFormatError(
             f"{pair}: alpha, y and training_indices differ in shape: "
             f"{bm.alpha.shape}, {bm.y.shape}, {bm.training_indices.shape}"
         )
-    if not (np.all(np.isfinite(bm.alpha)) and math.isfinite(bm.bias)):
-        raise ModelFormatError(f"{pair}: alpha and bias must be finite")
+    if not (np.all((bm.alpha >= 0) & np.isfinite(bm.alpha)) and math.isfinite(bm.bias)):
+        raise ModelFormatError(f"{pair}: alpha must be finite and non-negative, bias finite")
     if not np.all(np.isin(bm.y, (-1.0, 1.0))):
         raise ModelFormatError(f"{pair}: y must hold only +1 and -1")
     idx = bm.training_indices
@@ -568,13 +544,17 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
             target_lo=_json_number, target_hi=_json_number),
     )
     for bm in doc.binary_models:
-        _check_binary_model(bm, doc.classes, len(doc.training_features))
+        _check_binary_model(bm, len(doc.training_features))
     try:
         check_features(doc.training_features, doc.kernel, "training_features")
     except ValueError as exc:  # DimensionError too
         raise ModelFormatError(f"kernel section does not fit the training features: {exc}") \
             from exc
-    return SvmModel(doc.classes, doc.binary_models, doc.kernel, doc.training_features), doc.scaler
+    try:
+        model = SvmModel(doc.classes, doc.binary_models, doc.kernel, doc.training_features)
+    except (InvalidLabelsError, TypeError) as exc:  # TypeError: an unhashable class
+        raise ModelFormatError(f"invalid model document: {exc}") from exc
+    return model, doc.scaler
 
 
 def _write_json(doc: dict, path) -> None:

@@ -182,7 +182,7 @@ def test_criterion_7_boundary_grid_structure(tmp_path):
     def build_grid_csv(path):
         t0 = generate_synthetic("T0_SHAPE", seed=SEED)
         t1 = generate_synthetic("T1_SHAPE", seed=SEED)
-        pool = Dataset(t0.samples + t1.samples, name="T0+T1")
+        pool = Dataset(t0.samples + t1.samples)
         scaler = fit_scaler(pool)
         X = apply_scaler(scaler, pool)
         model = train_ovo(

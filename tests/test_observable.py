@@ -2,9 +2,10 @@
 
 A binary model's decision value sum_i c_i |<psi_i|psi(x)>|^2 + b equals
 <psi(x)|W|psi(x)> + b with W = sum_i c_i |psi_i><psi_i|. ``predict`` measures
-W (or, below 2**n support vectors, the weighted support-vector states); the
-reference here is the dual it replaced: the exact kernel row times
-alpha * y, one matrix-vector product per binary model.
+every binary model's W, also on wider feature maps where a binary model has
+fewer support vectors than 2**n; the reference here is the dual it
+replaced: the exact kernel row times alpha * y, one matrix-vector product
+per binary model.
 """
 
 import functools
@@ -69,7 +70,6 @@ def _points(name: str, scaler) -> np.ndarray:
 @pytest.mark.parametrize("phase", list(PHASES))
 def test_decisions_and_labels_match_the_dual(phase, points, monkeypatch):
     model, scaler = _phase_model(PHASES[phase])
-    assert len(model.observables.w_models) == len(model.binary_models)  # n = 2: all W
     _assert_matches_dual(model, _points(points, scaler), monkeypatch)
 
 
@@ -78,7 +78,7 @@ def test_save_load_predict_is_byte_identical(tmp_path):
     X = np.vstack([_points("T2_SHAPE", scaler), _points("outside", scaler)])
     save_model(model, tmp_path / "model.json", scaler)
     loaded, _ = load_model(tmp_path / "model.json")
-    assert loaded.observables.w_cat.tobytes() == model.observables.w_cat.tobytes()
+    assert loaded.observables.tobytes() == model.observables.tobytes()
     assert _decisions(loaded, X).tobytes() == _decisions(model, X).tobytes()
     assert predict(loaded, X) == predict(model, X)
 
@@ -88,8 +88,9 @@ def test_each_observable_is_hermitian_with_zero_trace():
     # feasible point of the dual.
     model, _ = _phase_model(PHASES["T0+T1"])
     dim = 1 << model.kernel_config.feature_map.num_features
+    assert model.observables.shape == (dim, dim * len(model.binary_models))
     for k in range(len(model.binary_models)):
-        W = model.observables.w_cat[:, k * dim:(k + 1) * dim]
+        W = model.observables[:, k * dim:(k + 1) * dim]
         assert np.array_equal(W, W.conj().T)
         assert abs(np.trace(W)) <= 1e-9
 
@@ -100,15 +101,12 @@ def _random_model(num_features: int, X, labels):
 
 
 @pytest.mark.parametrize("num_features", [5, 6])
-def test_support_vector_states_below_2n_support_vectors(num_features, monkeypatch):
+def test_wide_feature_map_matches_the_dual(num_features, monkeypatch):
     # 14 training points: every binary model has fewer than 2**n support
-    # vectors, so none keeps a 2**n x 2**n W.
+    # vectors, so each W is rank-deficient.
     rng = np.random.default_rng(num_features)
     model = _random_model(num_features, rng.uniform(0, 1, (14, num_features)),
                           ["ABC"[i % 3] for i in range(14)])
-    obs = model.observables
-    assert obs.w_models.size == 0 and obs.w_cat.size == 0
-    assert [k for k, *_ in obs.sv_factors] == [0, 1, 2]
     for bm in model.binary_models:
         assert 0 < np.count_nonzero(bm.alpha > 0) < 1 << num_features
     X = rng.uniform(-0.5, 1.5, (200, num_features))
@@ -116,15 +114,12 @@ def test_support_vector_states_below_2n_support_vectors(num_features, monkeypatc
     _assert_matches_dual(model, X[:1], monkeypatch)
 
 
-def test_w_and_support_vector_states_in_one_model(monkeypatch):
+def test_three_qubit_model_matches_the_dual(monkeypatch):
     # Three qubits, 2**3 = 8: the A/B and B/C problems have 29 and 12
-    # support vectors and take W; the A/C problem has 7 and keeps its states.
+    # support vectors, more than 8; the A/C problem has 7, fewer.
     rng = np.random.default_rng(6)
     X = np.vstack([rng.uniform(0, 1, (30, 3)), rng.uniform(0, 0.1, (2, 3))])
     model = _random_model(3, X, ["AB"[i % 2] for i in range(30)] + ["C", "C"])
-    obs = model.observables
-    assert obs.w_models.tolist() == [0, 2]
-    assert [k for k, *_ in obs.sv_factors] == [1]
     Y = rng.uniform(-0.5, 1.5, (300, 3))
     _assert_matches_dual(model, Y, monkeypatch)
     assert _decisions(model, Y[7:8]).tobytes() == _decisions(model, Y)[7:8].tobytes()

@@ -236,6 +236,14 @@ class TestPredict:
         # votes A=1, B=1, C=1 and every margin is 1.0 -> lowest index wins
         assert predict(model, np.zeros((1, 2))) == ["A"]
 
+    @pytest.mark.parametrize("pairs", [
+        [("A", "C"), ("A", "B"), ("B", "C")],
+        [("B", "A"), ("A", "C"), ("B", "C")],
+    ])
+    def test_pairs_out_of_combinations_order_rejected(self, pairs):
+        with pytest.raises(InvalidLabelsError, match="one-vs-one pairs"):
+            _stub_model(biases=dict.fromkeys(pairs, 1.0), classes=["A", "B", "C"])
+
     def test_feature_dimension_checked(self):
         model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG)
         with pytest.raises(DimensionError):
@@ -413,12 +421,30 @@ CORRUPTIONS = {
     "string training feature": lambda doc: {
         **doc, "training_features": [["0.25", 0.0], *doc["training_features"][1:]]},
     "boolean training index": lambda doc: _corrupt(doc, "training_indices", [True, 0, 2, 3]),
+    "negative alpha": lambda doc: _corrupt(
+        doc, "alpha", [-0.5, *doc["binary_models"][0]["alpha"][1:]]),
+    "class listed twice": lambda doc: {**doc, "classes": [*doc["classes"], "A"]},
+    "class with no binary model": lambda doc: {**doc, "classes": [*doc["classes"], "D"]},
+    "binary model dropped": lambda doc: {**doc, "binary_models": doc["binary_models"][:-1]},
+    "binary model duplicated": lambda doc: {
+        **doc, "binary_models": [*doc["binary_models"], doc["binary_models"][0]]},
+    "no binary models": lambda doc: {**doc, "binary_models": []},
+    "list-valued class": lambda doc: _rename_class(doc, "A", ["A"]),
 }
+
+
+def _rename_class(doc, old, new):
+    doc["classes"] = [new if c == old else c for c in doc["classes"]]
+    for bm in doc["binary_models"]:
+        bm["label_pair"] = [new if c == old else c for c in bm["label_pair"]]
+    return doc
 
 
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
 def test_corrupted_model_rejected_at_load(tmp_path, corruption):
-    model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG)
+    # Three classes; binary model 0 is A vs B on the four TOY_X points.
+    model = train_ovo(np.vstack([TOY_X, [[0.0, 1.0], [0.1, 0.9]]]), [*TOY_LABELS, "C", "C"],
+                      SvmConfig(), RBF_CFG)
     doc = CORRUPTIONS[corruption](json.loads(json.dumps(model_to_dict(model))))
     with pytest.raises(ModelFormatError):
         model_from_dict(doc)
