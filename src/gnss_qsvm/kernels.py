@@ -1,7 +1,10 @@
 """Kernel evaluations and Gram-matrix assembly.
 
 Three modes: exact fidelity, shot-sampled fidelity, and a classical RBF
-baseline. Both fidelity modes take their states from the batched engine
+baseline. The RBF block exp(-gamma |a - b|^2) sums its squared distances
+one feature column at a time into one (m, n) array; up to 7 features that is
+bit for bit the sum over an (m, n, d) array of squared differences. Both
+fidelity modes take their states from the batched engine
 ``feature_map.statevectors`` and form the exact overlaps |<psi(a)|psi(b)>|^2
 as one matrix product. A sampled entry is the fraction of all-zeros outcomes
 in ``shots`` runs of the compute-uncompute circuit, drawn as one binomial on
@@ -192,8 +195,15 @@ def _block(A: np.ndarray, B: np.ndarray, cfg: KernelConfig, upper: bool = False)
     (B is A): the fidelity modes then build the states once, and the sampled
     mode spends shots only on j > i, leaving the rest exact."""
     if cfg.mode == RBF:
-        sq_distances = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
-        return np.exp(-cfg.gamma * sq_distances)
+        # From 8 features on, numpy sums an (m, n, d) array pairwise, so an
+        # entry may differ from that sum by an ulp.
+        K = np.zeros((len(A), len(B)))
+        for a, b in zip(A.T, B.T):
+            diff = a[:, None] - b
+            diff *= diff
+            K += diff
+        K *= -cfg.gamma
+        return np.exp(K, out=K)
     if upper:
         sv_a = sv_b = statevectors(A, cfg.feature_map)
     else:

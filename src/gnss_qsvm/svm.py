@@ -13,12 +13,16 @@ When that partner and the other free points all fail, Platt's fallback scans
 every point; here one vectorized step test first rules out, for all
 partners at once, those whose pair update must be rejected, and the scan
 visits only the rest. A rejected step changes nothing, so the model is bit
-for bit the one the plain scan gives.
+for bit the one the plain scan gives. The step test divides only where the
+pair curvature is positive and leaves every other partner to the scalar
+update, so it never divides by zero.
 
 The search state is kept rather than rebuilt at every step, with the same
 IEEE arithmetic in the same order:
 - alpha, the labels and the Gram diagonal have Python-float mirrors for the
   scalar reads of the pair update;
+- Gram columns are read as contiguous rows of one copy of K.T, made once
+  per problem;
 - the free set and its indices and labels are updated by the pair update,
   and recomputed only when a point enters or leaves it;
 - the partner heuristic computes errors on the free points only;
@@ -167,6 +171,7 @@ def solve_binary_smo(
     C = cfg.C
     tol = cfg.kkt_tolerance
     diag = K.diagonal()
+    columns = np.ascontiguousarray(K.T)  # column j of K as a contiguous row
     same_label = {1.0: y > 0, -1.0: y < 0}  # y * y2 > 0, by y2
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
@@ -175,7 +180,7 @@ def solve_binary_smo(
     # (0 < alpha < C) kept up to date by take_step.
     alpha_l, y_l, diag_l = [0.0] * n, y.tolist(), diag.tolist()
     free = np.zeros(n, dtype=bool)
-    nonbound, y_nonbound = np.flatnonzero(free), y[:0]
+    nonbound, y_nonbound = free.nonzero()[0], y[:0]
 
     def take_step(i1: int, i2: int) -> bool:
         nonlocal b, f, nonbound, y_nonbound
@@ -224,13 +229,13 @@ def solve_binary_smo(
             b = b2
         else:
             b = 0.5 * (b1 + b2)
-        f += d1 * K[:, i1] + d2 * K[:, i2]
+        f += d1 * columns[i1] + d2 * columns[i2]
         alpha[i1] = alpha_l[i1] = a1
         alpha[i2] = alpha_l[i2] = a2
         free1, free2 = 0.0 < a1 < C, 0.0 < a2 < C
         if free1 != (0.0 < a1o < C) or free2 != (0.0 < a2o < C):
             free[i1], free[i2] = free1, free2
-            nonbound = np.flatnonzero(free)
+            nonbound = free.nonzero()[0]
             y_nonbound = y[nonbound]
         return True
 
@@ -246,11 +251,13 @@ def solve_binary_smo(
         hi = np.where(same, np.minimum(C, pair_sum), np.minimum(C, C + a2o - alpha))
         # The pair curvature per call: an n x n table of it would cost
         # as much memory as the Gram block.
-        eta = diag + diag_l[i2] - 2.0 * K[:, i2]
-        with np.errstate(all="ignore"):
-            a2 = np.minimum(np.maximum(a2o + y2 * (errors - e2) / eta, lo), hi)
+        eta = diag + diag_l[i2] - 2.0 * columns[i2]
+        curved = eta > _STEP_EPS
+        # y2 is +/-1, so y2 * (x / eta) is (y2 * x) / eta bit for bit.
+        step = np.divide(errors - e2, eta, out=np.zeros(n), where=curved)
+        a2 = np.minimum(np.maximum(a2o + y2 * step, lo), hi)
         tiny = np.abs(a2 - a2o) < _STEP_EPS * (a2 + a2o + _STEP_EPS)
-        ok = ~((hi - lo < _STEP_EPS) | ((eta > _STEP_EPS) & tiny))
+        ok = ~((hi - lo < _STEP_EPS) | (curved & tiny))
         ok[i2] = False
         return ok
 
@@ -277,7 +284,7 @@ def solve_binary_smo(
                 return True
         # Every free point failed above and failed steps change nothing, so
         # the full scan needs only the bound points the step test keeps.
-        for j in np.flatnonzero(may_step(i2, e2) & ~free).tolist():
+        for j in (may_step(i2, e2) & ~free).nonzero()[0].tolist():
             if take_step(j, i2):
                 return True
         return False
@@ -480,6 +487,13 @@ def _floats(value) -> np.ndarray:
     return np.array(_json_numbers(value), dtype=float)
 
 
+def _json_list(value) -> list:
+    # list() alone also takes a string: "AB" as ['A', 'B'].
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {value!r}")
+    return value
+
+
 def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected a JSON boolean, got {value!r}")
@@ -527,9 +541,10 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
     with ModelFormatError before they can fail inside ``predict``."""
     doc = _from_section(
         _Document, doc, "model document",
-        classes=list,
+        classes=_json_list,
         binary_models=lambda models: [
-            _from_section(BinaryModel, bm, "binary model", label_pair=tuple, alpha=_floats,
+            _from_section(BinaryModel, bm, "binary model",
+                          label_pair=lambda v: tuple(_json_list(v)), alpha=_floats,
                           y=_floats, bias=_json_number, converged=_json_bool,
                           training_indices=lambda v: np.array(_json_numbers(v)))
             for bm in models
@@ -561,8 +576,7 @@ def _write_json(doc: dict, path) -> None:
     """Indented JSON with sorted keys and a trailing newline; floats
     serialize via repr, so reloads are exact."""
     with _open_artifact(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def save_model(model: SvmModel, path, scaler: ScalerParams | None = None) -> None:

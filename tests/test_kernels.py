@@ -242,6 +242,25 @@ class TestGramRectangular:
         with pytest.raises(DimensionError):
             gram_rectangular([[0.1, 0.2]], [[0.1, 0.2, 0.3]], KernelConfig(mode=RBF, gamma=1.0))
 
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_rbf_blocks_equal_distance_tensor_formula(self, width):
+        # The blocks sum squared distances one feature column at a time; up
+        # to 7 features that is bit for bit numpy's sum over the (m, n, d)
+        # tensor of squared differences, 1-row blocks included.
+        def formula(A, B, gamma):
+            return np.exp(-gamma * ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1))
+
+        rng = np.random.default_rng(width)
+        for m, n in [(1, 1), (1, 9), (9, 1), (7, 12), (12, 12)]:
+            A = rng.normal(scale=3.0, size=(m, width))
+            B = rng.normal(size=(n, width))
+            cfg = KernelConfig(RBF, gamma=float(rng.uniform(0.05, 5.0)))
+            assert np.array_equal(gram_rectangular(A, B, cfg).values, formula(A, B, cfg.gamma))
+            upper = np.triu(formula(A, A, cfg.gamma), k=1)
+            expected = upper + upper.T
+            np.fill_diagonal(expected, 1.0)
+            assert np.array_equal(gram_symmetric(A, cfg).values, expected)
+
     def test_exact_single_rows_equal_bulk_block_bytes(self):
         # Scaled T1 test points against scaled T0 training points, the
         # phase-1 prediction block: a point's kernel row must not depend on

@@ -430,6 +430,8 @@ CORRUPTIONS = {
         **doc, "binary_models": [*doc["binary_models"], doc["binary_models"][0]]},
     "no binary models": lambda doc: {**doc, "binary_models": []},
     "list-valued class": lambda doc: _rename_class(doc, "A", ["A"]),
+    "string classes": lambda doc: {**doc, "classes": "".join(doc["classes"])},
+    "string label pair": lambda doc: _corrupt(doc, "label_pair", "AB"),
 }
 
 
@@ -651,3 +653,25 @@ def test_random_grams_match_plain_platt_scan(C, tol):
         y = rng.choice([-1.0, 1.0], size=n)
         y[:2] = 1.0, -1.0
         _assert_matches_plain_platt(K, y, SvmConfig(C=C, kkt_tolerance=tol, max_passes=200))
+
+
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+def test_zero_curvature_pairs_match_plain_platt_scan(C):
+    # Duplicated points make pairs of zero curvature (eta = 0), some with
+    # opposite labels; a division by it warns, which the test settings turn
+    # into an error. An 8-shot sampled Gram is indefinite, and every pair
+    # whose shots all came out all-zeros has zero curvature too; its pair
+    # updates succeed only through the bound comparison, which the step test
+    # must leave to the scalar update.
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(0, 1, size=(14, 2))
+    X = np.vstack([pts, pts[:7]])
+    y = np.where(rng.uniform(size=len(X)) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    y[14:16] = -y[:2]
+    rbf = gram_symmetric(X, KernelConfig(RBF, gamma=3.0)).values
+    sampled = gram_symmetric(pts, KernelConfig(FIDELITY_SAMPLED, shots=8, seed=14)).values
+    assert np.linalg.eigvalsh(sampled).min() < 0
+    assert np.any(np.triu(sampled, k=1) == 1.0)
+    for K, labels in [(rbf, y), (sampled, y[:14])]:
+        _assert_matches_plain_platt(K, labels, SvmConfig(C=C, max_passes=200))
