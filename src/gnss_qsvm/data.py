@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvParseError, DegenerateDataError, DimensionError
+from .errors import CsvParseError, DegenerateDataError, DimensionError, InvalidInputError
 
 LABELS = ("LOS", "NLOS", "LOS_NLOS")
 
@@ -58,7 +58,7 @@ class SignalSample:
 
     def __post_init__(self):
         if not math.isfinite(self.cn0_diff):
-            raise ValueError(f"cn0_diff must be finite, got {self.cn0_diff}")
+            raise InvalidInputError(f"cn0_diff must be finite, got {self.cn0_diff}")
         if not 0.0 <= self.elevation <= 90.0:
             raise ValueError(
                 f"elevation {self.elevation} out of [0, 90] degrees"

@@ -22,6 +22,11 @@ class InvalidLabelsError(ValueError):
     or a model's binary models are not the one-vs-one pairs of its classes."""
 
 
+class InvalidInputError(ValueError):
+    """Input data is unusable: non-finite features or C/N0 values, or a
+    Gram matrix that is not finite and symmetric."""
+
+
 class ModelFormatError(ValueError):
     """A saved model document is of an unknown format or inconsistent."""
 

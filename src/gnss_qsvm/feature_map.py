@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _check_int
-from .errors import DimensionError
+from .errors import DimensionError, InvalidInputError
 # This import also keeps gnss_qsvm.sim loaded, which perfbench's tracer
 # wraps as one of its layers.
 from .sim import _SQRT1_2, MAX_QUBITS
@@ -64,7 +64,7 @@ def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != n:
         raise DimensionError(f"expected an (m, {n}) feature matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
-        raise ValueError("feature values must be finite")
+        raise InvalidInputError("feature values must be finite")
     m = len(X)
     if m == 1:
         X = np.repeat(X, 2, axis=0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _check_int, _check_positive, mask_seed
-from .errors import DegenerateDataError, DimensionError
+from .errors import DegenerateDataError, DimensionError, InvalidInputError
 from .feature_map import FeatureMapConfig, statevectors
 
 FIDELITY_EXACT = "fidelity_exact"
@@ -186,7 +186,7 @@ def check_features(X, cfg: KernelConfig | None = None, name: str = "X",
     if cfg is not None and cfg.mode == RBF and cfg.gamma is None:
         raise ValueError("rbf mode requires gamma; resolve it via default_gamma")
     if not np.all(np.isfinite(X)):
-        raise ValueError("feature values must be finite")
+        raise InvalidInputError("feature values must be finite")
     return X
 
 

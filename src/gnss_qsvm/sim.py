@@ -151,12 +151,3 @@ def run_circuit(circuit: Circuit, initial: QuantumState) -> QuantumState:
     for gate in circuit.gates:
         _apply_inplace(amps, gate)
     return QuantumState(circuit.num_qubits, amps)
-
-
-def inner_product(a: QuantumState, b: QuantumState) -> complex:
-    """<a|b>, conjugate-linear in ``a``."""
-    if a.num_qubits != b.num_qubits:
-        raise DimensionError(
-            f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

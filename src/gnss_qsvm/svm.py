@@ -15,19 +15,8 @@ partners at once, those whose pair update must be rejected, and the scan
 visits only the rest. A rejected step changes nothing, so the model is bit
 for bit the one the plain scan gives. The step test divides only where the
 pair curvature is positive and leaves every other partner to the scalar
-update, so it never divides by zero.
-
-The search state is kept rather than rebuilt at every step, with the same
-IEEE arithmetic in the same order:
-- alpha, the labels and the Gram diagonal have Python-float mirrors for the
-  scalar reads of the pair update;
-- Gram columns are read as contiguous rows of one copy of K.T, made once
-  per problem;
-- the free set and its indices and labels are updated by the pair update,
-  and recomputed only when a point enters or leaves it;
-- the partner heuristic computes errors on the free points only;
-- the step test picks its same-label mask from two precomputed label
-  masks.
+update, so it never divides by zero. The Gram must be exactly symmetric,
+which is checked, so that column j is read as the contiguous row j.
 
 Multiclass uses one-vs-one voting: an ``SvmModel`` holds binary model k for
 pair k of ``itertools.combinations(classes, 2)``, over at least two distinct
@@ -61,7 +50,8 @@ from itertools import combinations
 import numpy as np
 
 from .data import ScalerParams, _check_int, _check_positive, _open_artifact
-from .errors import ConvergenceWarning, DimensionError, InvalidLabelsError, ModelFormatError
+from .errors import (ConvergenceWarning, DimensionError, InvalidInputError, InvalidLabelsError,
+                     ModelFormatError)
 from .feature_map import FeatureMapConfig, statevectors
 from .kernels import (
     FIDELITY_EXACT,
@@ -148,14 +138,15 @@ def solve_binary_smo(
     label_pair: tuple = (1, -1),
     training_indices=None,
 ) -> BinaryModel:
-    """SMO on a precomputed symmetric Gram matrix with +/-1 labels.
+    """SMO on a precomputed symmetric Gram matrix with +/-1 labels; a Gram
+    that is not finite and exactly symmetric raises InvalidInputError.
 
     Returns the dual coefficients and a bias averaged over free support
     vectors (midpoint of the KKT-feasible interval when none are free).
     Non-convergence within max_passes sweeps yields a best-effort model
     flagged converged=False.
     """
-    K = np.asarray(gram, dtype=float)
+    K = np.ascontiguousarray(gram, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if K.shape != (n, n):
@@ -166,12 +157,13 @@ def solve_binary_smo(
         raise InvalidLabelsError("training labels contain a single class")
 
     if not np.all(np.isfinite(K)):
-        raise ValueError("Gram values must be finite")
+        raise InvalidInputError("Gram values must be finite")
+    if not np.array_equal(K, K.T):
+        raise InvalidInputError("Gram matrix must be symmetric")
 
     C = cfg.C
     tol = cfg.kkt_tolerance
     diag = K.diagonal()
-    columns = np.ascontiguousarray(K.T)  # column j of K as a contiguous row
     same_label = {1.0: y > 0, -1.0: y < 0}  # y * y2 > 0, by y2
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
@@ -182,7 +174,8 @@ def solve_binary_smo(
     free = np.zeros(n, dtype=bool)
     nonbound, y_nonbound = free.nonzero()[0], y[:0]
 
-    def take_step(i1: int, i2: int) -> bool:
+    def take_step(i1: int, i2: int, e2: float) -> bool:
+        # e2 is examine's error of i2, which only a successful step changes.
         nonlocal b, f, nonbound, y_nonbound
         if i1 == i2:
             return False
@@ -190,7 +183,6 @@ def solve_binary_smo(
         y1, y2 = y_l[i1], y_l[i2]
         f1, f2 = f.item(i1), f.item(i2)
         e1 = f1 + b - y1
-        e2 = f2 + b - y2
         s = y1 * y2
         if s > 0:
             lo, hi = max(0.0, a1o + a2o - C), min(C, a1o + a2o)
@@ -229,7 +221,7 @@ def solve_binary_smo(
             b = b2
         else:
             b = 0.5 * (b1 + b2)
-        f += d1 * columns[i1] + d2 * columns[i2]
+        f += d1 * K[i1] + d2 * K[i2]
         alpha[i1] = alpha_l[i1] = a1
         alpha[i2] = alpha_l[i2] = a2
         free1, free2 = 0.0 < a1 < C, 0.0 < a2 < C
@@ -251,7 +243,7 @@ def solve_binary_smo(
         hi = np.where(same, np.minimum(C, pair_sum), np.minimum(C, C + a2o - alpha))
         # The pair curvature per call: an n x n table of it would cost
         # as much memory as the Gram block.
-        eta = diag + diag_l[i2] - 2.0 * columns[i2]
+        eta = diag + diag_l[i2] - 2.0 * K[i2]
         curved = eta > _STEP_EPS
         # y2 is +/-1, so y2 * (x / eta) is (y2 * x) / eta bit for bit.
         step = np.divide(errors - e2, eta, out=np.zeros(n), where=curved)
@@ -277,15 +269,15 @@ def solve_binary_smo(
             gaps -= y_nonbound
             gaps -= e2
             i1 = int(candidates[np.abs(gaps, out=gaps).argmax()])
-            if take_step(i1, i2):
+            if take_step(i1, i2, e2):
                 return True
         for j in candidates.tolist():
-            if j != i1 and j != i2 and take_step(j, i2):
+            if j != i1 and j != i2 and take_step(j, i2, e2):
                 return True
         # Every free point failed above and failed steps change nothing, so
         # the full scan needs only the bound points the step test keeps.
         for j in (may_step(i2, e2) & ~free).nonzero()[0].tolist():
-            if take_step(j, i2):
+            if take_step(j, i2, e2):
                 return True
         return False
 
@@ -296,13 +288,10 @@ def solve_binary_smo(
         for i in range(n) if examine_all else nonbound.tolist():
             if examine(i):
                 changed = True
-        if examine_all:
-            if not changed:
-                converged = True
-                break
-            examine_all = False
-        elif not changed:
-            examine_all = True
+        if examine_all and not changed:
+            converged = True
+            break
+        examine_all = not changed
     if not converged:
         warnings.warn(
             f"SMO stopped after {cfg.max_passes} sweeps without meeting the "
@@ -346,13 +335,10 @@ def _final_bias(alpha: np.ndarray, y: np.ndarray, f: np.ndarray, C: float) -> fl
     at_c = alpha >= C - eps
     lower = residual[(at_zero & (y > 0)) | (at_c & (y < 0))]
     upper = residual[(at_zero & (y < 0)) | (at_c & (y > 0))]
-    if lower.size and upper.size:
-        return float(0.5 * (lower.max() + upper.min()))
-    if upper.size:
-        return float(upper.min())
-    if lower.size:
-        return float(lower.max())
-    return 0.0
+    # Neither side is empty. Both labels are present, so an empty lower side
+    # would put every y > 0 point at C and every y < 0 point at 0, and make
+    # sum(alpha * y) = C * #(y > 0), not 0; an empty upper side likewise.
+    return float(0.5 * (lower.max() + upper.min()))
 
 
 def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> SvmModel:

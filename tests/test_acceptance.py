@@ -4,12 +4,14 @@ them). Golden accuracies were pinned from the first reference run at seed 0
 and are asserted exactly thereafter.
 """
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gnss_qsvm.cli import ExperimentConfig, run_experiment
+from gnss_qsvm.cli import ExperimentConfig, fit_pipeline, run_experiment
 from gnss_qsvm.data import Dataset, apply_scaler, fit_scaler, generate_synthetic
 from gnss_qsvm.evaluate import boundary_grid, save_grid_csv
 from gnss_qsvm.kernels import (
@@ -19,7 +21,7 @@ from gnss_qsvm.kernels import (
     gram_rectangular,
     gram_symmetric,
 )
-from gnss_qsvm.svm import SvmConfig, solve_binary_smo, train_ovo
+from gnss_qsvm.svm import SvmConfig, predict, solve_binary_smo, train_ovo
 
 from oracles import (
     brute_force_dual_max,
@@ -39,6 +41,15 @@ GOLDEN_ACCURACY = {
     ("svm", 2): 0.8833333333333333,
 }
 GOLDEN_RAW_ACCURACY = {1: 0.5609756097560976, 2: 0.6666666666666666}
+
+PHASES = {1: (["T0_SHAPE"], "T1_SHAPE"), 2: (["T0_SHAPE", "T1_SHAPE"], "T2_SHAPE")}
+VERDICT_SEEDS = range(10)
+# phase -> (test points right only with QSVM, right only with RBF, exact
+# two-sided McNemar p), pooled over VERDICT_SEEDS.
+GOLDEN_VERDICT = {
+    1: (11, 20, 0.14961278438568115),
+    2: (19, 62, 1.7730682926908968e-06),
+}
 
 
 def _experiment(train, test, model, raw, outdir, grid_resolution=None):
@@ -161,6 +172,37 @@ def test_criterion_5_two_phase_synthetic_analog(tmp_path):
           f"QSVM {results[('qsvm', 1)]:.4f}/{results[('qsvm', 2)]:.4f}, "
           f"SVM {results[('svm', 1)]:.4f}/{results[('svm', 2)]:.4f}, "
           f"all >= 0.75 and equal to pinned goldens, in {elapsed:.1f}s")
+
+
+def _mcnemar_p(b: int, c: int) -> float:
+    """Exact two-sided McNemar p (Dietterich 1998): twice the smaller
+    binomial tail of b + c discordant points at 1/2, capped at 1."""
+    n = b + c
+    tail = Fraction(sum(math.comb(n, i) for i in range(min(b, c) + 1)), 2 ** n)
+    return float(min(1, 2 * tail))
+
+
+def _right(train, test, model, seed):
+    fitted, scaler = fit_pipeline(ExperimentConfig(train_sources=train, test_source=test,
+                                                   model=model, seed=seed))
+    data = generate_synthetic(test, seed=seed)
+    return np.array(predict(fitted, apply_scaler(scaler, data))) == data.labels()
+
+
+@pytest.mark.parametrize("phase", list(PHASES))
+def test_paired_verdict_qsvm_against_rbf(phase):
+    # Exact QSVM and the RBF baseline on the same draws; a point right for
+    # both or for neither says nothing about which classifier is better.
+    train, test = PHASES[phase]
+    qsvm_only = rbf_only = 0
+    for seed in VERDICT_SEEDS:
+        qsvm, rbf = (_right(train, test, model, seed) for model in ("qsvm", "svm"))
+        qsvm_only += int(np.sum(qsvm & ~rbf))
+        rbf_only += int(np.sum(rbf & ~qsvm))
+    p = _mcnemar_p(qsvm_only, rbf_only)
+    assert (qsvm_only, rbf_only, p) == GOLDEN_VERDICT[phase]
+    print(f"\nVERDICT phase {phase}: {qsvm_only} right only with QSVM, {rbf_only} only "
+          f"with RBF over {len(VERDICT_SEEDS)} draws, exact McNemar p {p:.2g}")
 
 
 def test_criterion_6_scaling_effect_analog(tmp_path):

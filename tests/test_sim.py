@@ -10,7 +10,6 @@ from gnss_qsvm.sim import (
     QuantumState,
     cnot,
     hadamard,
-    inner_product,
     phase,
     run_circuit,
     zero_state,
@@ -107,31 +106,6 @@ class TestRunCircuit:
         b = run_circuit(Circuit(1, [phase(0.7, 0), hadamard(0)]), zero_state(1))
         assert not np.allclose(a.amplitudes, b.amplitudes)
         assert np.allclose(a.amplitudes, [SQRT1_2, SQRT1_2 * np.exp(0.7j)])
-
-
-class TestInnerProduct:
-    def test_self_overlap_is_one(self):
-        rng = np.random.default_rng(3)
-        state = random_state(3, rng)
-        assert inner_product(state, state) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_basis_states(self):
-        zero = zero_state(1)
-        one = QuantumState(1, np.array([0.0, 1.0], dtype=complex))
-        assert inner_product(zero, one) == 0.0
-
-    def test_hadamard_column(self):
-        plus = apply_gate(zero_state(1), hadamard(0))
-        assert inner_product(zero_state(1), plus) == pytest.approx(SQRT1_2, abs=1e-12)
-
-    def test_conjugate_linear_in_first_argument(self):
-        rng = np.random.default_rng(4)
-        a, b = random_state(2, rng), random_state(2, rng)
-        assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            inner_product(zero_state(1), zero_state(2))
 
 
 class TestStateValidation:

@@ -7,19 +7,29 @@ import warnings
 import numpy as np
 import pytest
 
-from gnss_qsvm.data import Dataset, ScalerParams, apply_scaler, fit_scaler, generate_synthetic
+from gnss_qsvm.data import (
+    Dataset,
+    ScalerParams,
+    SignalSample,
+    apply_scaler,
+    fit_scaler,
+    generate_synthetic,
+)
 from gnss_qsvm.errors import (
     ConvergenceWarning,
     DimensionError,
+    InvalidInputError,
     InvalidLabelsError,
     ModelFormatError,
 )
+from gnss_qsvm.feature_map import FeatureMapConfig, statevectors
 from gnss_qsvm.kernels import (
     FIDELITY_EXACT,
     FIDELITY_SAMPLED,
     RBF,
     KernelConfig,
     default_gamma,
+    gram_rectangular,
     gram_symmetric,
 )
 from gnss_qsvm.svm import (
@@ -89,6 +99,14 @@ class TestSolveBinarySmo:
         K = np.eye(4)
         K[1, 2] = K[2, 1] = bad
         with pytest.raises(ValueError, match="Gram values must be finite"):
+            solve_binary_smo(K, [1, -1, 1, -1], SvmConfig())
+
+    def test_asymmetric_gram_rejected(self):
+        # One ulp off symmetry in one entry is enough: the solver reads
+        # Gram column j as row j.
+        K = np.exp(-np.subtract.outer(np.arange(4.0), np.arange(4.0)) ** 2)
+        K[1, 2] = np.nextafter(K[1, 2], 1.0)
+        with pytest.raises(InvalidInputError, match="Gram matrix must be symmetric"):
             solve_binary_smo(K, [1, -1, 1, -1], SvmConfig())
 
     def test_sweep_cap_flags_nonconvergence(self):
@@ -336,6 +354,24 @@ def test_non_finite_features_rejected(mode, bad):
     model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), kcfg)
     with pytest.raises(ValueError, match="finite"):
         predict(model, [[0.5, bad]])
+
+
+_NAN_X = [[0.5, np.nan]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: predict(train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG), _NAN_X),
+    lambda: train_ovo(_NAN_X + TOY_X.tolist(), ["A"] + TOY_LABELS, SvmConfig(), RBF_CFG),
+    lambda: gram_symmetric(_NAN_X, KernelConfig(mode=FIDELITY_EXACT)),
+    lambda: gram_rectangular(TOY_X, _NAN_X, RBF_CFG),
+    lambda: statevectors(np.array(_NAN_X), FeatureMapConfig(num_features=2)),
+    lambda: solve_binary_smo([[1.0, np.inf], [np.inf, 1.0]], [1, -1], SvmConfig()),
+    lambda: SignalSample(np.nan, 45.0, "LOS"),
+], ids=["predict", "train_ovo", "gram_symmetric", "gram_rectangular", "statevectors",
+        "solve_binary_smo", "SignalSample"])
+def test_unusable_input_raises_invalid_input_error(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def _reference_vote(votes, margins):
@@ -627,6 +663,15 @@ def test_pair_models_match_golden_bytes(golden_blocks, problem, C, max_passes):
 def test_pair_models_match_plain_platt_scan(golden_blocks, problem, C, max_passes):
     for K, y in golden_blocks[problem]:
         _assert_matches_plain_platt(K, y, SvmConfig(C=C, max_passes=max_passes))
+
+
+@pytest.mark.parametrize("problem", list(GOLDEN_PROBLEMS))
+def test_memory_order_of_gram_moves_no_bit(golden_blocks, problem):
+    for K, y in golden_blocks[problem]:
+        c_model = _solve_quietly(np.ascontiguousarray(K), y, SvmConfig())
+        f_model = _solve_quietly(np.asfortranarray(K), y, SvmConfig())
+        assert c_model.alpha.tobytes() == f_model.alpha.tobytes()
+        assert repr(c_model.bias) == repr(f_model.bias)
 
 
 def test_sampled_golden_pair_blocks_are_indefinite(golden_blocks):
