@@ -3,8 +3,8 @@ conditions (LOS / NLOS / LOS+NLOS).
 
 The package namespace holds the pipeline API. The batched feature-map
 states live in ``gnss_qsvm.feature_map`` and Gram assembly in
-``gnss_qsvm.kernels``; ``gnss_qsvm.sim`` is the gate-by-gate statevector
-simulator that the states are tested against.
+``gnss_qsvm.kernels``; ``gnss_qsvm.sim`` holds only the basis conventions
+(qubit cap, Hadamard factor) that the states are built with.
 """
 
 from .data import (

@@ -59,6 +59,8 @@ class SignalSample:
     def __post_init__(self):
         if not math.isfinite(self.cn0_diff):
             raise InvalidInputError(f"cn0_diff must be finite, got {self.cn0_diff}")
+        if not math.isfinite(self.elevation):
+            raise InvalidInputError(f"elevation must be finite, got {self.elevation}")
         if not 0.0 <= self.elevation <= 90.0:
             raise ValueError(
                 f"elevation {self.elevation} out of [0, 90] degrees"

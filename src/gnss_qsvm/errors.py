@@ -1,12 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package: each error is a
+``ValueError`` that names what was wrong with a caller's input."""
 
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes, lengths, or qubit counts."""
-
-
-class InvalidGateError(ValueError):
-    """Gate is malformed or addresses qubits outside the register."""
 
 
 class DegenerateDataError(ValueError):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import _check_int
 from .errors import DimensionError, InvalidInputError
-# This import also keeps gnss_qsvm.sim loaded, which perfbench's tracer
-# wraps as one of its layers.
+# The gate-by-gate reference in tests/gatesim.py takes the same conventions
+# from gnss_qsvm.sim, so its states can equal these bit for bit.
 from .sim import _SQRT1_2, MAX_QUBITS
 
 ENTANGLEMENTS = ("full", "linear")
@@ -49,8 +49,8 @@ class FeatureMapConfig:
 def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
     """Feature-map states of every row of ``X``, shape (m, 2**n): the gates
     of the module docstring applied to all rows at once with the arithmetic
-    of the ``gnss_qsvm.sim`` gate simulator, so that for two or more
-    features each row equals a gate-by-gate run of the circuit on that
+    of the gate-by-gate simulator in ``tests/gatesim.py``, so that for two
+    or more features each row equals a run of the circuit on that
     simulator bit for bit.
 
     The states are held amplitude-major, (2**n, m), and reshaped to one axis
@@ -61,8 +61,9 @@ def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
     runs on the row doubled and keeps one."""
     X = np.asarray(X, dtype=float)
     n = config.num_features
-    if X.ndim != 2 or X.shape[1] != n:
-        raise DimensionError(f"expected an (m, {n}) feature matrix, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] != n or len(X) == 0:
+        raise DimensionError(
+            f"expected an (m, {n}) feature matrix with m >= 1, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("feature values must be finite")
     m = len(X)

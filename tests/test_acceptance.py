@@ -50,6 +50,9 @@ GOLDEN_VERDICT = {
     1: (11, 20, 0.14961278438568115),
     2: (19, 62, 1.7730682926908968e-06),
 }
+# Upper end hi of the [0, hi] scaling range -> phase-1 test points exact QSVM
+# classifies right, pooled over VERDICT_SEEDS (410 points).
+GOLDEN_SCALING_RIGHT = {0.25: 358, 0.5: 362, 1.0: 360, 2.0: 349, math.pi: 278}
 
 
 def _experiment(train, test, model, raw, outdir, grid_resolution=None):
@@ -182,9 +185,9 @@ def _mcnemar_p(b: int, c: int) -> float:
     return float(min(1, 2 * tail))
 
 
-def _right(train, test, model, seed):
+def _right(train, test, model, seed, scale_hi=1.0):
     fitted, scaler = fit_pipeline(ExperimentConfig(train_sources=train, test_source=test,
-                                                   model=model, seed=seed))
+                                                   model=model, seed=seed, scale_hi=scale_hi))
     data = generate_synthetic(test, seed=seed)
     return np.array(predict(fitted, apply_scaler(scaler, data))) == data.labels()
 
@@ -203,6 +206,19 @@ def test_paired_verdict_qsvm_against_rbf(phase):
     assert (qsvm_only, rbf_only, p) == GOLDEN_VERDICT[phase]
     print(f"\nVERDICT phase {phase}: {qsvm_only} right only with QSVM, {rbf_only} only "
           f"with RBF over {len(VERDICT_SEEDS)} draws, exact McNemar p {p:.2g}")
+
+
+def test_scaling_range_curve_phase_1():
+    # The paper's scaling finding as a curve: a wider range narrows the
+    # fidelity kernel's bandwidth, and accuracy falls from [0, 1] to [0, pi].
+    train, test = PHASES[1]
+    right = {hi: sum(int(np.sum(_right(train, test, "qsvm", seed, scale_hi=hi)))
+                     for seed in VERDICT_SEEDS)
+             for hi in GOLDEN_SCALING_RIGHT}
+    assert right == GOLDEN_SCALING_RIGHT
+    points = 41 * len(VERDICT_SEEDS)
+    print("\nSCALING phase 1, accuracy at [0, hi]: " + ", ".join(
+        f"{hi:.3g}: {count / points:.3f}" for hi, count in right.items()))
 
 
 def test_criterion_6_scaling_effect_analog(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from gnss_qsvm.errors import DimensionError
 from gnss_qsvm.feature_map import FeatureMapConfig, statevectors
 from gnss_qsvm.evaluate import grid_centers
-from gnss_qsvm.sim import MAX_QUBITS, QuantumState, run_circuit
+from gnss_qsvm.sim import MAX_QUBITS
 
-from gatesim import build_circuit, map_to_state
+from gatesim import QuantumState, build_circuit, map_to_state, run_circuit
 from oracles import mapped_state, second_order_map_unitary
 
 FM2 = FeatureMapConfig(num_features=2)
@@ -236,6 +236,8 @@ class TestStatevectors:
             statevectors([[0.1, 0.2, 0.3]], FM2)
         with pytest.raises(DimensionError):
             statevectors([0.1, 0.2], FM2)
+        with pytest.raises(DimensionError):
+            statevectors(np.zeros((0, 2)), FM2)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gnss_qsvm.errors import DimensionError, InvalidGateError
-from gnss_qsvm.sim import (
+from gnss_qsvm.errors import DimensionError
+
+from gatesim import (
     Circuit,
     Gate,
+    InvalidGateError,
     QuantumState,
     cnot,
     hadamard,

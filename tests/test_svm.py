@@ -367,8 +367,12 @@ _NAN_X = [[0.5, np.nan]]
     lambda: statevectors(np.array(_NAN_X), FeatureMapConfig(num_features=2)),
     lambda: solve_binary_smo([[1.0, np.inf], [np.inf, 1.0]], [1, -1], SvmConfig()),
     lambda: SignalSample(np.nan, 45.0, "LOS"),
+    lambda: SignalSample(1.0, np.nan, "LOS"),
+    lambda: SignalSample(1.0, np.inf, "LOS"),
+    lambda: SignalSample(1.0, -np.inf, "LOS"),
 ], ids=["predict", "train_ovo", "gram_symmetric", "gram_rectangular", "statevectors",
-        "solve_binary_smo", "SignalSample"])
+        "solve_binary_smo", "SignalSample", "SignalSample_elevation_nan",
+        "SignalSample_elevation_inf", "SignalSample_elevation_-inf"])
 def test_unusable_input_raises_invalid_input_error(call):
     with pytest.raises(InvalidInputError):
         call()
