@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvParseError, DegenerateDataError, DimensionError, InvalidInputError
+from .errors import (CsvParseError, DegenerateDataError, DimensionError, InvalidInputError,
+                     InvalidSettingError)
 
 LABELS = ("LOS", "NLOS", "LOS_NLOS")
 
@@ -198,7 +199,7 @@ def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
     rejected, numpy integers accepted."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+        raise InvalidSettingError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 def _check_positive(value, name: str) -> None:
@@ -206,7 +207,7 @@ def _check_positive(value, name: str) -> None:
     rejected, numpy floats accepted, and the value must be finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        raise InvalidSettingError(f"{name} must be positive and finite, got {value!r}")
 
 
 def mask_seed(seed: int) -> int:
@@ -225,7 +226,7 @@ def generate_synthetic(preset: str, seed: int = 0) -> Dataset:
     different presets with the same seed share no samples.
     """
     if preset not in _PRESET_COUNTS:
-        raise ValueError(f"unknown preset {preset!r}, expected one of {PRESETS}")
+        raise InvalidSettingError(f"unknown preset {preset!r}, expected one of {PRESETS}")
     rng = np.random.default_rng([mask_seed(seed), PRESETS.index(preset)])
     samples = []
     for label in LABELS:

@@ -19,6 +19,12 @@ class InvalidLabelsError(ValueError):
     or a model's binary models are not the one-vs-one pairs of its classes."""
 
 
+class InvalidSettingError(ValueError):
+    """A setting is of the wrong type, out of range, or not one of its
+    allowed names (an integer, a positive real, a kernel mode, an
+    entanglement or a preset)."""
+
+
 class InvalidInputError(ValueError):
     """Input data is unusable: non-finite features or C/N0 values, or a
     Gram matrix that is not finite and symmetric."""

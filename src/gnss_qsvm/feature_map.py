@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _check_int
-from .errors import DimensionError, InvalidInputError
+from .errors import DimensionError, InvalidInputError, InvalidSettingError
 # The gate-by-gate reference in tests/gatesim.py takes the same conventions
 # from gnss_qsvm.sim, so its states can equal these bit for bit.
 from .sim import _SQRT1_2, MAX_QUBITS
@@ -33,7 +33,7 @@ class FeatureMapConfig:
         _check_int(self.num_features, "num_features", 1, MAX_QUBITS)
         _check_int(self.repetitions, "repetitions", 1)
         if self.entanglement not in ENTANGLEMENTS:
-            raise ValueError(
+            raise InvalidSettingError(
                 f"entanglement must be one of {ENTANGLEMENTS}, got "
                 f"{self.entanglement!r}"
             )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _check_int, _check_positive, mask_seed
-from .errors import DegenerateDataError, DimensionError, InvalidInputError
+from .errors import DegenerateDataError, DimensionError, InvalidInputError, InvalidSettingError
 from .feature_map import FeatureMapConfig, statevectors
 
 FIDELITY_EXACT = "fidelity_exact"
@@ -59,7 +59,7 @@ class KernelConfig:
 
     def __post_init__(self):
         if self.mode not in KERNEL_MODES:
-            raise ValueError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
+            raise InvalidSettingError(f"mode must be one of {KERNEL_MODES}, got {self.mode!r}")
         # Only the sampled mode spends shots; the others take 0 as well.
         _check_int(self.shots, "shots", int(self.mode == FIDELITY_SAMPLED), MAX_SHOTS)
         _check_int(self.seed, "seed")

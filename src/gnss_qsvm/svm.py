@@ -46,6 +46,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -558,11 +559,55 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
     return model, doc.scaler
 
 
+def _plain_number(value):
+    # default of the artifact encoder: a numpy integer or float setting is
+    # written as the Python number it equals.
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_compact_json = json.JSONEncoder(default=_plain_number).encode
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a document with
+    string keys, nested at ``indent``. A list of scalars, or of non-empty
+    lists of scalars, takes one compact C-level pass and is re-indented by
+    string replacement: with no string in its text, every ", " in it
+    separates two items."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value and not isinstance(value[0], (dict, str)):
+        text = _compact_json(value)
+        if '"' not in text:  # no strings, so no non-empty objects
+            rows = text.count("[") - 1
+            if not rows:
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + indent + "]"
+            if rows == len(value) and all(isinstance(r, (list, tuple)) and r for r in value):
+                deep = inner + "  "
+                body = text[2:-2].replace(", ", "," + deep)
+                body = body.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
+                return "[" + inner + "[" + deep + body + inner + "]" + indent + "]"
+    if isinstance(value, dict):
+        brackets, items = "{}", [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                                 for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", [_json_text(v, inner) for v in value]
+    else:
+        return _compact_json(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _write_json(doc: dict, path) -> None:
-    """Indented JSON with sorted keys and a trailing newline; floats
-    serialize via repr, so reloads are exact."""
+    """Indented JSON with sorted keys and a trailing newline, the bytes of
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``; floats serialize
+    via repr, so reloads are exact. It does not call ``json.dumps``:
+    ``indent`` turns off json's C encoder, and the pure-Python one took most
+    of ``save_model``'s time."""
     with _open_artifact(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def save_model(model: SvmModel, path, scaler: ScalerParams | None = None) -> None:

@@ -11,8 +11,9 @@ import pytest
 
 from gnss_qsvm.cli import ExperimentConfig, build_parser, fit_pipeline, main, run_experiment
 from gnss_qsvm.data import apply_scaler, fit_scaler, generate_synthetic, load_csv
-from gnss_qsvm.kernels import FIDELITY_EXACT, KernelConfig, gram_symmetric
-from gnss_qsvm.svm import load_model, save_model
+from gnss_qsvm.feature_map import FeatureMapConfig
+from gnss_qsvm.kernels import FIDELITY_EXACT, FIDELITY_SAMPLED, RBF, KernelConfig, gram_symmetric
+from gnss_qsvm.svm import SvmConfig, load_model, save_model, train_ovo
 
 
 def run_cli(*argv):
@@ -254,6 +255,43 @@ def test_artifacts_match_recorded_digests(tmp_path, recorded_platform, run):
     assert run_cli(*argv, *out) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == digests
+
+
+def test_json_artifacts_equal_the_stdlib_encoding(tmp_path):
+    # The digests pin the artifact bytes on one platform only; on any
+    # platform they are those of json.dumps with indent=2 and sorted keys.
+    argv, _ = ARTIFACT_DIGESTS["rbf T0+T1 -> T2, grid 10"]
+    assert run_cli(*argv, "--outdir", tmp_path) == 0
+    for name in ("model.json", "report.json"):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _save_trained(out, kernel_config):
+    t1 = generate_synthetic("T1_SHAPE", seed=0)
+    scaler = fit_scaler(t1)
+    model = train_ovo(apply_scaler(scaler, t1), t1.labels(), SvmConfig(), kernel_config)
+    out.mkdir()
+    save_model(model, out / "model.json", scaler)
+
+
+@pytest.mark.parametrize("write", [
+    lambda out, n: _save_trained(out, KernelConfig(FIDELITY_SAMPLED, shots=16, seed=n(3))),
+    lambda out, n: _save_trained(out, KernelConfig(FIDELITY_SAMPLED, shots=n(16))),
+    lambda out, n: _save_trained(out, KernelConfig(
+        FIDELITY_EXACT, FeatureMapConfig(num_features=n(2), repetitions=n(3)))),
+    lambda out, n: _save_trained(out, KernelConfig(RBF, gamma=n(0.5))),
+    lambda out, n: run_experiment(ExperimentConfig(
+        ["T1_SHAPE"], "T1_SHAPE", kernel="sampled", shots=16, seed=n(1), outdir=str(out))),
+], ids=["sampled seed", "shots", "feature map", "rbf gamma", "run_experiment seed"])
+def test_numpy_settings_write_the_bytes_of_python_numbers(tmp_path, write):
+    # The settings checks accept numpy integers and floats, so the writers
+    # must too: as the Python numbers they equal.
+    write(tmp_path / "python", lambda v: v)
+    write(tmp_path / "numpy", lambda v: np.int64(v) if isinstance(v, int) else np.float32(v))
+    python, numpy = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                     for d in ("python", "numpy"))
+    assert python == numpy
 
 
 class TestDefaults:

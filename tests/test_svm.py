@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnss_qsvm.data import (
     Dataset,
@@ -20,6 +22,7 @@ from gnss_qsvm.errors import (
     DimensionError,
     InvalidInputError,
     InvalidLabelsError,
+    InvalidSettingError,
     ModelFormatError,
 )
 from gnss_qsvm.feature_map import FeatureMapConfig, statevectors
@@ -36,6 +39,7 @@ from gnss_qsvm.svm import (
     BinaryModel,
     SvmConfig,
     SvmModel,
+    _json_text,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -319,6 +323,29 @@ class TestSerialization:
             load_model(path)
 
 
+# Strings full of what the writer's re-indentation looks for, numbers at
+# the edges of repr, and lists of numbers (flat, rows, ragged) and of
+# scalars of every kind.
+_TRICKY_TEXT = st.sampled_from([", ", "], [", "[1, 2]", '", "', "{}"]) | st.text(
+    st.sampled_from(['"', ",", " ", "[", "]", "{", "}", ":", "\\", "\n", "1", "é", "\u2028"]))
+_NUMBERS = st.one_of(
+    st.integers(), st.integers(min_value=2**64, max_value=2**80).map(lambda i: -i),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 2**65]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, _TRICKY_TEXT, st.text())
+_JSON_DOCS = st.recursive(
+    st.one_of(_SCALARS, *(st.lists(x, max_size=8)
+                          for x in (_NUMBERS, st.lists(_NUMBERS, max_size=4), _SCALARS))),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_TRICKY_TEXT | st.text(), children, max_size=4),
+    max_leaves=20)
+
+
+@settings(deadline=None)
+@given(_JSON_DOCS)
+def test_json_text_is_the_stdlib_indented_encoding(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _stub_model(biases: dict, classes=None) -> SvmModel:
     """Model whose binary decisions are constant (all-zero alphas), letting
     vote logic be exercised directly through the bias terms."""
@@ -375,6 +402,19 @@ _NAN_X = [[0.5, np.nan]]
         "SignalSample_elevation_inf", "SignalSample_elevation_-inf"])
 def test_unusable_input_raises_invalid_input_error(call):
     with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SvmConfig(max_passes=0), "max_passes must be an integer"),
+    (lambda: SvmConfig(C=-1.0), "C must be positive and finite"),
+    (lambda: KernelConfig(mode="poly"), "mode must be one of"),
+    (lambda: FeatureMapConfig(num_features=2, entanglement="ring"),
+     "entanglement must be one of"),
+    (lambda: generate_synthetic("T9_SHAPE"), "unknown preset 'T9_SHAPE'"),
+], ids=["_check_int", "_check_positive", "KernelConfig.mode", "entanglement", "preset"])
+def test_invalid_setting_raises_invalid_setting_error(call, message):
+    with pytest.raises(InvalidSettingError, match=message):
         call()
 
 
