@@ -26,6 +26,7 @@ from .data import (
     write_csv,
     _check_int,
 )
+from .errors import InvalidSettingError
 from .evaluate import (
     boundary_grid,
     make_report,
@@ -103,11 +104,11 @@ def fit_pipeline(config: ExperimentConfig) -> tuple[SvmModel, ScalerParams | Non
     ``raw``) and train the one-vs-one model on the classes present, in
     label order. Returns (model, scaler or None)."""
     if not config.train_sources:
-        raise ValueError("at least one training source is required")
+        raise InvalidSettingError("at least one training source is required")
     if config.model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {config.model!r}")
+        raise InvalidSettingError(f"model must be one of {MODELS}, got {config.model!r}")
     if config.kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
+        raise InvalidSettingError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
     _check_int(config.seed, "seed")
 
     train = _load_many(config.train_sources, config.seed)
@@ -126,7 +127,7 @@ def run_experiment(config: ExperimentConfig):
     """
     if config.grid_resolution is not None:
         if config.raw:
-            raise ValueError("boundary grids need scaled features; drop --raw")
+            raise InvalidSettingError("boundary grids need scaled features; drop --raw")
         _check_int(config.grid_resolution, "grid_resolution", 1)
 
     test = _load_source(config.test_source, config.seed)

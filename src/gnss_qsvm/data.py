@@ -1,4 +1,4 @@
-"""Sample schema, CSV ingestion, min-max scaling, and synthetic datasets.
+"""Sample schema, CSV I/O, min-max scaling, synthetic datasets and the artifact writer.
 
 Each sample pairs the RHCP-LHCP carrier-to-noise density difference (dB-Hz)
 with the satellite elevation angle (degrees) and one of three reception
@@ -16,7 +16,6 @@ import math
 import numbers
 import os
 import stat
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,16 +146,18 @@ def _open_in_place(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-@contextmanager
-def _open_artifact(path):
-    """``open(path, "w", encoding="utf-8")`` for every artifact, except that
-    an existing file is overwritten from offset 0 instead of truncated first
-    (on ext4, closing a file truncated to zero and written again starts
-    writeback). On exit, exception or not, a regular file is cut at the
-    current position; devices and pipes cannot be cut and are left as is."""
-    with open(path, "w", encoding="utf-8", opener=_open_in_place) as fh:
+def _write_artifact(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, lines ending in LF on every platform.
+    It is encoded before the file is opened, so a failed render or encode
+    leaves an existing file as it was. That file is overwritten from offset 0,
+    not truncated first (on ext4, closing a file truncated to zero and written
+    again starts writeback); a regular file is then cut where the write
+    stopped, even when it raised. Devices and pipes are left as they are."""
+    data = memoryview(text.encode("utf-8"))
+    with open(path, "wb", buffering=0, opener=_open_in_place) as fh:
         try:
-            yield fh
+            while data:  # one write() may take only part of it
+                data = data[fh.write(data):]
         finally:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
@@ -164,16 +165,15 @@ def _open_artifact(path):
 
 def write_csv(dataset: Dataset, path) -> None:
     """Writer counterpart of load_csv; floats use repr for exact round trips."""
-    with _open_artifact(path) as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for s in dataset.samples:
-            fh.write(f"{float(s.cn0_diff)!r},{float(s.elevation)!r},{s.label}\n")
+    rows = "".join(f"{float(s.cn0_diff)!r},{float(s.elevation)!r},{s.label}\n"
+                   for s in dataset.samples)
+    _write_artifact(path, ",".join(CSV_HEADER) + "\n" + rows)
 
 
 def fit_scaler(train: Dataset, target_lo: float = 0.0, target_hi: float = 1.0) -> ScalerParams:
     """Record per-feature min/max from the training set only."""
     if not train.samples:
-        raise ValueError("cannot fit a scaler on an empty dataset")
+        raise InvalidInputError("cannot fit a scaler on an empty dataset")
     X = train.features()
     return ScalerParams(X.min(axis=0), X.max(axis=0), float(target_lo), float(target_hi))
 

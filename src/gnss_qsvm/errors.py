@@ -16,18 +16,19 @@ class CsvParseError(ValueError):
 
 class InvalidLabelsError(ValueError):
     """Label set is unusable for training (single class, unknown or missing labels),
-    or a model's binary models are not the one-vs-one pairs of its classes."""
+    a model's binary models are not the one-vs-one pairs of its classes, or a
+    truth or predicted label is outside the class list being scored."""
 
 
 class InvalidSettingError(ValueError):
-    """A setting is of the wrong type, out of range, or not one of its
-    allowed names (an integer, a positive real, a kernel mode, an
-    entanglement or a preset)."""
+    """A setting is of the wrong type, out of range, not one of its allowed names
+    (kernel mode, entanglement, preset, model, kernel), missing (training source,
+    RBF gamma), or in conflict with another (a boundary grid on raw features)."""
 
 
 class InvalidInputError(ValueError):
-    """Input data is unusable: non-finite features or C/N0 values, or a
-    Gram matrix that is not finite and symmetric."""
+    """Input data is unusable: non-finite features or C/N0 values, a Gram matrix that is
+    not finite and symmetric, empty data to scale or score, or unequal label counts."""
 
 
 class ModelFormatError(ValueError):

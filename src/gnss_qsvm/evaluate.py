@@ -6,7 +6,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ScalerParams, _check_int, _open_artifact
+from .data import ScalerParams, _check_int, _write_artifact
+from .errors import InvalidInputError, InvalidLabelsError
 from .svm import SvmModel, _json_ready, _write_json, predict
 
 
@@ -35,14 +36,14 @@ def confusion(predictions, truth, classes) -> np.ndarray:
     """Count matrix with rows = truth class, columns = predicted class."""
     predictions, truth = list(predictions), list(truth)
     if len(predictions) != len(truth):
-        raise ValueError(f"{len(predictions)} prediction(s) vs {len(truth)} truth label(s)")
+        raise InvalidInputError(f"{len(predictions)} prediction(s) vs {len(truth)} truth label(s)")
     index = {c: i for i, c in enumerate(classes)}
     matrix = np.zeros((len(index), len(index)), dtype=int)
     for p, t in zip(predictions, truth):
         if t not in index:
-            raise ValueError(f"truth label {t!r} not in class list")
+            raise InvalidLabelsError(f"truth label {t!r} not in class list")
         if p not in index:
-            raise ValueError(f"predicted label {p!r} not in class list")
+            raise InvalidLabelsError(f"predicted label {p!r} not in class list")
         matrix[index[t], index[p]] += 1
     return matrix
 
@@ -51,7 +52,7 @@ def make_report(predictions, truth, classes) -> EvalReport:
     """Score predictions against the truth; an empty label set is rejected."""
     report = EvalReport(confusion(predictions, truth, classes), list(classes))
     if not report.n_total:
-        raise ValueError("cannot score an empty label set")
+        raise InvalidInputError("cannot score an empty label set")
     return report
 
 
@@ -87,10 +88,9 @@ def boundary_grid(model: SvmModel, scaler: ScalerParams | None, resolution: int)
 def save_grid_csv(grid: BoundaryGrid, path) -> None:
     """Row-major cell centers with header x,y,label."""
     centers = [repr(float(v)) for v in grid_centers(*grid.span, len(grid.cells))]
-    with _open_artifact(path) as fh:
-        fh.write("x,y,label\n")
-        for y, row in zip(centers, grid.cells.tolist()):
-            fh.write("".join(f"{x},{y},{label}\n" for x, label in zip(centers, row)))
+    _write_artifact(path, "x,y,label\n" + "".join(
+        f"{x},{y},{label}\n"
+        for y, row in zip(centers, grid.cells.tolist()) for x, label in zip(centers, row)))
 
 
 def save_report(report: EvalReport, path, config_echo: dict | None = None,
@@ -108,8 +108,7 @@ def save_report(report: EvalReport, path, config_echo: dict | None = None,
 
 def save_confusion_csv(report: EvalReport, path) -> None:
     """Confusion counts with truth classes as rows, predictions as columns."""
-    with _open_artifact(path) as fh:
-        fh.write("truth\\prediction," + ",".join(str(c) for c in report.classes) + "\n")
-        for i, c in enumerate(report.classes):
-            row = ",".join(str(int(v)) for v in report.confusion[i])
-            fh.write(f"{c},{row}\n")
+    counts = report.confusion.astype(int).tolist()
+    rows = [["truth\\prediction", *report.classes]]
+    rows += [[c, *row] for c, row in zip(report.classes, counts)]
+    _write_artifact(path, "".join(",".join(map(str, row)) + "\n" for row in rows))

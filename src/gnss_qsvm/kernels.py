@@ -184,7 +184,7 @@ def check_features(X, cfg: KernelConfig | None = None, name: str = "X",
     if width is not None and X.shape[1] != width:
         raise DimensionError(f"{name} has {X.shape[1]} feature(s), expected {width}")
     if cfg is not None and cfg.mode == RBF and cfg.gamma is None:
-        raise ValueError("rbf mode requires gamma; resolve it via default_gamma")
+        raise InvalidSettingError("rbf mode requires gamma; resolve it via default_gamma")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("feature values must be finite")
     return X

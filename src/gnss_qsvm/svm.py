@@ -50,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .data import ScalerParams, _check_int, _check_positive, _open_artifact
+from .data import ScalerParams, _check_int, _check_positive, _write_artifact
 from .errors import (ConvergenceWarning, DimensionError, InvalidInputError, InvalidLabelsError,
                      ModelFormatError)
 from .feature_map import FeatureMapConfig, statevectors
@@ -162,8 +162,8 @@ def solve_binary_smo(
     if not np.array_equal(K, K.T):
         raise InvalidInputError("Gram matrix must be symmetric")
 
-    C = cfg.C
-    tol = cfg.kkt_tolerance
+    C = float(cfg.C)  # a numpy float32 C would run the clip bounds in float32
+    tol = float(cfg.kkt_tolerance)
     diag = K.diagonal()
     same_label = {1.0: y > 0, -1.0: y < 0}  # y * y2 > 0, by y2
     alpha = np.zeros(n)
@@ -601,13 +601,11 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _write_json(doc: dict, path) -> None:
-    """Indented JSON with sorted keys and a trailing newline, the bytes of
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``; floats serialize
-    via repr, so reloads are exact. It does not call ``json.dumps``:
-    ``indent`` turns off json's C encoder, and the pure-Python one took most
-    of ``save_model``'s time."""
-    with _open_artifact(path) as fh:
-        fh.write(_json_text(doc) + "\n")
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, floats
+    via repr so reloads are exact, rendered in full before the file is opened
+    and without json's pure-Python encoder (``indent`` selects it; it took most
+    of ``save_model``'s time)."""
+    _write_artifact(path, _json_text(doc) + "\n")
 
 
 def save_model(model: SvmModel, path, scaler: ScalerParams | None = None) -> None:

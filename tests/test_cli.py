@@ -283,7 +283,10 @@ def _save_trained(out, kernel_config):
     lambda out, n: _save_trained(out, KernelConfig(RBF, gamma=n(0.5))),
     lambda out, n: run_experiment(ExperimentConfig(
         ["T1_SHAPE"], "T1_SHAPE", kernel="sampled", shots=16, seed=n(1), outdir=str(out))),
-], ids=["sampled seed", "shots", "feature map", "rbf gamma", "run_experiment seed"])
+    lambda out, n: run_experiment(ExperimentConfig(
+        ["T1_SHAPE"], "T1_SHAPE", model="svm", C=n(0.5), outdir=str(out))),
+], ids=["sampled seed", "shots", "feature map", "rbf gamma", "run_experiment seed",
+        "run_experiment svm C"])
 def test_numpy_settings_write_the_bytes_of_python_numbers(tmp_path, write):
     # The settings checks accept numpy integers and floats, so the writers
     # must too: as the Python numbers they equal.

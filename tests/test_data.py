@@ -1,18 +1,25 @@
+import errno
 import math
 import os
+import signal
 import stat
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import gnss_qsvm
 from gnss_qsvm.data import (
     Dataset,
     LABELS,
     PRESETS,
     ScalerParams,
     SignalSample,
-    _open_artifact,
+    _write_artifact,
     apply_scaler,
     fit_scaler,
     generate_synthetic,
@@ -20,7 +27,8 @@ from gnss_qsvm.data import (
     write_csv,
 )
 from gnss_qsvm.errors import CsvParseError, DegenerateDataError, DimensionError
-from gnss_qsvm.evaluate import boundary_grid, make_report, save_confusion_csv, save_grid_csv
+from gnss_qsvm.evaluate import (boundary_grid, make_report, save_confusion_csv, save_grid_csv,
+                                save_report)
 from gnss_qsvm.kernels import RBF, KernelConfig
 from gnss_qsvm.svm import SvmConfig, save_model, train_ovo
 
@@ -58,6 +66,11 @@ class TestLoadCsv:
         assert len(ds) == 3
         assert ds.labels() == ["LOS", "NLOS", "LOS_NLOS"]
         assert ds.samples[0].cn0_diff == 8.5
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("cn0_diff,elevation_deg,label\n\n8.5,62.0,LOS\n\n-2.25,20.0,NLOS\n")
+        assert load_csv(path).labels() == ["LOS", "NLOS"]
 
     def test_unknown_label_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -111,7 +124,7 @@ class TestRoundTrip:
         assert loaded.samples == ds.samples
 
 
-def _write_artifact(kind: str, path) -> None:
+def _save_kind(kind: str, path) -> None:
     ds = generate_synthetic("T1_SHAPE", seed=11)
     scaler = fit_scaler(ds)
     model = train_ovo(apply_scaler(scaler, ds), ds.labels(), SvmConfig(),
@@ -130,19 +143,46 @@ class TestArtifactWriter:
     @pytest.mark.parametrize("kind", ["sample csv", "confusion csv", "grid csv", "model json"])
     def test_rewrite_of_longer_file_leaves_no_stale_tail(self, tmp_path, kind):
         fresh, reused = tmp_path / "fresh", tmp_path / "reused"
-        _write_artifact(kind, fresh)
+        _save_kind(kind, fresh)
         reused.write_bytes(b"#" * 3 + fresh.read_bytes() + b"stale tail\n" * 500)
-        _write_artifact(kind, reused)
+        _save_kind(kind, reused)
         assert reused.read_bytes() == fresh.read_bytes()
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
     def test_exception_mid_write_leaves_the_written_prefix(self, tmp_path):
+        # A file-size limit, set in a child process only, stops the write
+        # part-way: the kernel takes 10,000 bytes, then refuses with EFBIG.
         path = tmp_path / "a.csv"
-        path.write_text("old,contents\n" * 100, encoding="utf-8")
-        with pytest.raises(RuntimeError, match="halfway"):
-            with _open_artifact(path) as fh:
-                fh.write("new,")
-                raise RuntimeError("halfway")
-        assert path.read_bytes() == b"new,"
+        path.write_bytes(b"o" * 20_000)
+        script = textwrap.dedent("""
+            import resource, signal, sys
+            from gnss_qsvm.data import _write_artifact
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (10_000, hard))
+            try:
+                _write_artifact(sys.argv[1], "n" * 30_000)
+            except OSError as exc:
+                sys.exit(exc.errno)
+        """)
+        src = os.path.dirname(os.path.dirname(gnss_qsvm.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert proc.returncode == errno.EFBIG, proc.stderr
+        assert path.read_bytes() == b"n" * 10_000
+
+    @pytest.mark.parametrize("write, error", [
+        (lambda path: save_report(make_report(["LOS"], ["LOS"], LABELS), path,
+                                  {"C": Fraction(1, 2)}), TypeError),
+        (lambda path: _write_artifact(path, "\ud800"), UnicodeEncodeError),
+    ], ids=["render", "encode"])
+    def test_failed_render_or_encode_leaves_the_file_whole(self, tmp_path, write, error):
+        path = tmp_path / "report.json"
+        save_report(make_report(["LOS", "NLOS"], ["LOS", "LOS"], LABELS), path, {"C": 0.5})
+        before = path.read_bytes()
+        with pytest.raises(error):
+            write(path)
+        assert path.read_bytes() == before
 
     def test_existing_mode_kept_and_new_file_mode_follows_umask(self, tmp_path):
         ds = generate_synthetic("T1_SHAPE", seed=11)

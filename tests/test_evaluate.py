@@ -10,6 +10,7 @@ from gnss_qsvm.evaluate import (
     save_grid_csv,
     save_report,
 )
+from gnss_qsvm.errors import InvalidLabelsError
 from gnss_qsvm.kernels import FIDELITY_EXACT, RBF, KernelConfig
 from gnss_qsvm.svm import BinaryModel, SvmConfig, SvmModel, train_ovo
 
@@ -56,8 +57,10 @@ class TestConfusion:
         assert matrix.tolist() == [[0, 1], [0, 0]]
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLabelsError, match="predicted label 'z'"):
             confusion(["z"], ["a"], ["a", "b"])
+        with pytest.raises(InvalidLabelsError, match="truth label 'z'"):
+            confusion(["a"], ["z"], ["a", "b"])
 
     def test_permuting_classes_permutes_rows_and_columns(self):
         rng = np.random.default_rng(42)

@@ -211,6 +211,11 @@ class TestGramSymmetric:
         with pytest.raises(DimensionError):
             gram_symmetric([[0.1, 0.2, 0.3]], KernelConfig(mode=FIDELITY_EXACT))
 
+    @pytest.mark.parametrize("X", [[0.1, 0.2], np.zeros((0, 2))], ids=["1-D", "empty"])
+    def test_non_matrix_input_rejected(self, X):
+        with pytest.raises(DimensionError, match="non-empty 2-D matrix"):
+            gram_symmetric(X, KernelConfig(RBF, gamma=1.0))
+
 
 class TestGramRectangular:
     def test_same_inputs_match_symmetric(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnss_qsvm.cli import ExperimentConfig, fit_pipeline, run_experiment
 from gnss_qsvm.data import (
     Dataset,
     ScalerParams,
@@ -25,6 +26,7 @@ from gnss_qsvm.errors import (
     InvalidSettingError,
     ModelFormatError,
 )
+from gnss_qsvm.evaluate import confusion, make_report
 from gnss_qsvm.feature_map import FeatureMapConfig, statevectors
 from gnss_qsvm.kernels import (
     FIDELITY_EXACT,
@@ -206,6 +208,14 @@ class TestTrainOvo:
     def test_single_class_rejected(self):
         with pytest.raises(InvalidLabelsError):
             train_ovo(TOY_X, ["A", "A", "A", "A"], SvmConfig(), RBF_CFG)
+
+    def test_labels_outside_the_class_list_rejected(self):
+        with pytest.raises(InvalidLabelsError, match=r"outside the class list: \['B'\]"):
+            train_ovo(TOY_X, ["A", "A", "B", "C"], SvmConfig(), RBF_CFG, classes=["A", "C"])
+
+    def test_label_count_checked(self):
+        with pytest.raises(DimensionError, match="3 label"):
+            train_ovo(TOY_X, TOY_LABELS[:3], SvmConfig(), RBF_CFG)
 
     def test_rbf_gamma_resolved_and_stored(self):
         model = train_ovo(TOY_X, TOY_LABELS, SvmConfig(), KernelConfig(mode=RBF))
@@ -397,9 +407,13 @@ _NAN_X = [[0.5, np.nan]]
     lambda: SignalSample(1.0, np.nan, "LOS"),
     lambda: SignalSample(1.0, np.inf, "LOS"),
     lambda: SignalSample(1.0, -np.inf, "LOS"),
+    lambda: fit_scaler(Dataset([])),
+    lambda: make_report([], [], ["A", "B"]),
+    lambda: confusion(["A"], ["A", "B"], ["A", "B"]),
 ], ids=["predict", "train_ovo", "gram_symmetric", "gram_rectangular", "statevectors",
         "solve_binary_smo", "SignalSample", "SignalSample_elevation_nan",
-        "SignalSample_elevation_inf", "SignalSample_elevation_-inf"])
+        "SignalSample_elevation_inf", "SignalSample_elevation_-inf", "fit_scaler_empty",
+        "make_report_empty", "confusion_lengths"])
 def test_unusable_input_raises_invalid_input_error(call):
     with pytest.raises(InvalidInputError):
         call()
@@ -412,7 +426,18 @@ def test_unusable_input_raises_invalid_input_error(call):
     (lambda: FeatureMapConfig(num_features=2, entanglement="ring"),
      "entanglement must be one of"),
     (lambda: generate_synthetic("T9_SHAPE"), "unknown preset 'T9_SHAPE'"),
-], ids=["_check_int", "_check_positive", "KernelConfig.mode", "entanglement", "preset"])
+    (lambda: fit_pipeline(ExperimentConfig([], "T1_SHAPE")),
+     "at least one training source is required"),
+    (lambda: fit_pipeline(ExperimentConfig(["T1_SHAPE"], "T1_SHAPE", model="knn")),
+     "model must be one of"),
+    (lambda: fit_pipeline(ExperimentConfig(["T1_SHAPE"], "T1_SHAPE", kernel="noisy")),
+     "kernel must be one of"),
+    (lambda: run_experiment(ExperimentConfig(["T1_SHAPE"], "T1_SHAPE", raw=True,
+                                             grid_resolution=4)),
+     "boundary grids need scaled features"),
+    (lambda: gram_symmetric(TOY_X, KernelConfig(mode=RBF)), "rbf mode requires gamma"),
+], ids=["_check_int", "_check_positive", "KernelConfig.mode", "entanglement", "preset",
+        "no training source", "model", "kernel", "grid with raw", "rbf gamma"])
 def test_invalid_setting_raises_invalid_setting_error(call, message):
     with pytest.raises(InvalidSettingError, match=message):
         call()
