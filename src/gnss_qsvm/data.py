@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import stat
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (CsvParseError, DegenerateDataError, DimensionError, InvalidInputError,
-                     InvalidSettingError)
+                     InvalidLabelsError, InvalidSettingError)
 
 LABELS = ("LOS", "NLOS", "LOS_NLOS")
 
@@ -62,11 +61,9 @@ class SignalSample:
         if not math.isfinite(self.elevation):
             raise InvalidInputError(f"elevation must be finite, got {self.elevation}")
         if not 0.0 <= self.elevation <= 90.0:
-            raise ValueError(
-                f"elevation {self.elevation} out of [0, 90] degrees"
-            )
+            raise InvalidInputError(f"elevation {self.elevation} out of [0, 90] degrees")
         if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
+            raise InvalidLabelsError(f"unknown label {self.label!r}")
 
 
 @dataclass(eq=False)
@@ -94,11 +91,11 @@ class ScalerParams:
 
     def __post_init__(self):
         if not -math.inf < self.target_lo < self.target_hi < math.inf:
-            raise ValueError(f"target_hi must exceed target_lo, both finite, "
-                             f"got [{self.target_lo}, {self.target_hi}]")
+            raise InvalidSettingError(f"target_hi must exceed target_lo, both finite, "
+                                      f"got [{self.target_lo}, {self.target_hi}]")
         if not self.data_min.shape == self.data_max.shape == (len(_FEATURES),):
-            raise ValueError(f"data_min and data_max must hold {len(_FEATURES)} values, "
-                             f"got shapes {self.data_min.shape} and {self.data_max.shape}")
+            raise DimensionError(f"data_min and data_max must hold {len(_FEATURES)} values, "
+                                 f"got shapes {self.data_min.shape} and {self.data_max.shape}")
         for lo, hi, name in zip(self.data_min.tolist(), self.data_max.tolist(), _FEATURES):
             if not -math.inf < lo < hi < math.inf:
                 raise DegenerateDataError(
@@ -203,9 +200,12 @@ def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
 
 
 def _check_positive(value, name: str) -> None:
-    """The check of every positive real setting: ``bool`` and non-reals are
-    rejected, numpy floats accepted, and the value must be finite."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+    """The check of every positive real setting: Python and numpy integers and
+    floats are accepted, ``bool`` and every other number type (``Fraction``,
+    ``Decimal``) rejected, since the artifacts could not record them; the
+    value must be finite."""
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, float, np.integer, np.floating)) \
             or not 0 < value < math.inf:
         raise InvalidSettingError(f"{name} must be positive and finite, got {value!r}")
 

@@ -1,9 +1,13 @@
 """Exception and warning types shared across the package: each error is a
-``ValueError`` that names what was wrong with a caller's input."""
+``ValueError`` that names what was wrong with a caller's input, so the CSV
+reader and the model reader re-raise any of them met while checking a row or
+a document as ``CsvParseError`` or ``ModelFormatError``. Errors of the file
+system (a missing file, a directory given as a file) stay ``OSError``."""
 
 
 class DimensionError(ValueError):
-    """Operands have incompatible shapes, lengths, or qubit counts."""
+    """Operands have incompatible shapes, lengths, or qubit counts, or scaler
+    bounds do not hold one value per feature."""
 
 
 class DegenerateDataError(ValueError):
@@ -15,20 +19,24 @@ class CsvParseError(ValueError):
 
 
 class InvalidLabelsError(ValueError):
-    """Label set is unusable for training (single class, unknown or missing labels),
-    a model's binary models are not the one-vs-one pairs of its classes, or a
-    truth or predicted label is outside the class list being scored."""
+    """Label set is unusable for training (single class, unknown, missing or
+    unhashable labels), a sample's label is not a reception label, a model's
+    binary models are not the one-vs-one pairs of its classes, or a truth or
+    predicted label is outside the class list being scored."""
 
 
 class InvalidSettingError(ValueError):
-    """A setting is of the wrong type, out of range, not one of its allowed names
-    (kernel mode, entanglement, preset, model, kernel), missing (training source,
-    RBF gamma), or in conflict with another (a boundary grid on raw features)."""
+    """A setting is of the wrong type (a real setting must be a Python or numpy
+    integer or float, not a ``bool``, ``Fraction`` or ``Decimal``), out of range
+    (a scaler's target interval included), not one of its allowed names (kernel
+    mode, entanglement, preset, model, kernel), missing (training source, RBF
+    gamma), or in conflict with another (a boundary grid on raw features)."""
 
 
 class InvalidInputError(ValueError):
-    """Input data is unusable: non-finite features or C/N0 values, a Gram matrix that is
-    not finite and symmetric, empty data to scale or score, or unequal label counts."""
+    """Input data is unusable: non-finite features or C/N0 values, an elevation
+    outside [0, 90] degrees, a Gram matrix that is not finite and symmetric, empty
+    data to scale or score, or unequal label counts."""
 
 
 class ModelFormatError(ValueError):

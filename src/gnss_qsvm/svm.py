@@ -18,6 +18,15 @@ pair curvature is positive and leaves every other partner to the scalar
 update, so it never divides by zero. The Gram must be exactly symmetric,
 which is checked, so that column j is read as the contiguous row j.
 
+Each step reads its scalars from Python-float mirrors of alpha, f, the
+labels and the Gram diagonal; numpy keeps only the vector work (the update of
+f, which one ``tolist`` then mirrors, and the step test). The partner is
+chosen by a plain loop over the free points that computes
+((f_j + b) - y_j) - e2 with the same float64 operations in the same order as
+the numpy expression it replaced, and keeps the first maximum, as ``argmax``
+does. No value is NaN, since the Gram is checked finite, so the partner, and
+with it the model, is the same bit for bit.
+
 Multiclass uses one-vs-one voting: an ``SvmModel`` holds binary model k for
 pair k of ``itertools.combinations(classes, 2)``, over at least two distinct
 classes, and checks that layout when it is built.
@@ -169,20 +178,21 @@ def solve_binary_smo(
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
     b = 0.0  # working threshold; decision value is f + b
-    # Python-float mirrors for the scalar reads, and the free set
-    # (0 < alpha < C) kept up to date by take_step.
-    alpha_l, y_l, diag_l = [0.0] * n, y.tolist(), diag.tolist()
+    # Python-float mirrors for every scalar read, and the free set
+    # (0 < alpha < C), kept up to date by take_step. f_l and the free list
+    # are rebound, never mutated, so a loop runs over the list it started on.
+    alpha_l, y_l, diag_l, f_l = [0.0] * n, y.tolist(), diag.tolist(), [0.0] * n
     free = np.zeros(n, dtype=bool)
-    nonbound, y_nonbound = free.nonzero()[0], y[:0]
+    nonbound = []
 
     def take_step(i1: int, i2: int, e2: float) -> bool:
         # e2 is examine's error of i2, which only a successful step changes.
-        nonlocal b, f, nonbound, y_nonbound
+        nonlocal b, f, f_l, nonbound
         if i1 == i2:
             return False
         a1o, a2o = alpha_l[i1], alpha_l[i2]
         y1, y2 = y_l[i1], y_l[i2]
-        f1, f2 = f.item(i1), f.item(i2)
+        f1, f2 = f_l[i1], f_l[i2]
         e1 = f1 + b - y1
         s = y1 * y2
         if s > 0:
@@ -223,13 +233,13 @@ def solve_binary_smo(
         else:
             b = 0.5 * (b1 + b2)
         f += d1 * K[i1] + d2 * K[i2]
+        f_l = f.tolist()
         alpha[i1] = alpha_l[i1] = a1
         alpha[i2] = alpha_l[i2] = a2
         free1, free2 = 0.0 < a1 < C, 0.0 < a2 < C
         if free1 != (0.0 < a1o < C) or free2 != (0.0 < a2o < C):
             free[i1], free[i2] = free1, free2
-            nonbound = free.nonzero()[0]
-            y_nonbound = y[nonbound]
+            nonbound = free.nonzero()[0].tolist()
         return True
 
     def may_step(i2: int, e2: float) -> np.ndarray:
@@ -256,23 +266,21 @@ def solve_binary_smo(
 
     def examine(i2: int) -> bool:
         y2, a2 = y_l[i2], alpha_l[i2]
-        e2 = f.item(i2) + b - y2
+        e2 = f_l[i2] + b - y2
         r2 = e2 * y2
         if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0)):
             return False
-        # take_step rebinds nonbound when the free set changes, but only on
-        # success, which ends this call.
-        candidates, i1 = nonbound, i2
-        if candidates.size > 1:
-            # |E_j - e2| over the free points, in place: ((f + b) - y) - e2.
-            gaps = f[candidates]
-            gaps += b
-            gaps -= y_nonbound
-            gaps -= e2
-            i1 = int(candidates[np.abs(gaps, out=gaps).argmax()])
+        i1 = i2
+        if len(nonbound) > 1:
+            # The first largest |((f_j + b) - y_j) - e2|, as argmax picks it.
+            largest = -1.0
+            for j in nonbound:
+                gap = abs(f_l[j] + b - y_l[j] - e2)
+                if gap > largest:
+                    largest, i1 = gap, j
             if take_step(i1, i2, e2):
                 return True
-        for j in candidates.tolist():
+        for j in nonbound:
             if j != i1 and j != i2 and take_step(j, i2, e2):
                 return True
         # Every free point failed above and failed steps change nothing, so
@@ -286,7 +294,7 @@ def solve_binary_smo(
     examine_all = True
     for _ in range(cfg.max_passes):
         changed = False
-        for i in range(n) if examine_all else nonbound.tolist():
+        for i in range(n) if examine_all else nonbound:
             if examine(i):
                 changed = True
         if examine_all and not changed:
@@ -351,7 +359,10 @@ def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> Sv
         raise DimensionError(
             f"{len(labels)} label(s) for {X.shape[0]} sample(s)"
         )
-    present = set(labels)
+    try:
+        present = set(labels)
+    except TypeError as exc:  # an unhashable label
+        raise InvalidLabelsError(str(exc)) from None
     if classes is None:
         classes = sorted(present)
     else:

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -407,12 +410,14 @@ _NAN_X = [[0.5, np.nan]]
     lambda: SignalSample(1.0, np.nan, "LOS"),
     lambda: SignalSample(1.0, np.inf, "LOS"),
     lambda: SignalSample(1.0, -np.inf, "LOS"),
+    lambda: SignalSample(1.0, 95.0, "LOS"),
     lambda: fit_scaler(Dataset([])),
     lambda: make_report([], [], ["A", "B"]),
     lambda: confusion(["A"], ["A", "B"], ["A", "B"]),
 ], ids=["predict", "train_ovo", "gram_symmetric", "gram_rectangular", "statevectors",
         "solve_binary_smo", "SignalSample", "SignalSample_elevation_nan",
-        "SignalSample_elevation_inf", "SignalSample_elevation_-inf", "fit_scaler_empty",
+        "SignalSample_elevation_inf", "SignalSample_elevation_-inf",
+        "SignalSample_elevation_range", "fit_scaler_empty",
         "make_report_empty", "confusion_lengths"])
 def test_unusable_input_raises_invalid_input_error(call):
     with pytest.raises(InvalidInputError):
@@ -436,10 +441,33 @@ def test_unusable_input_raises_invalid_input_error(call):
                                              grid_resolution=4)),
      "boundary grids need scaled features"),
     (lambda: gram_symmetric(TOY_X, KernelConfig(mode=RBF)), "rbf mode requires gamma"),
+    (lambda: ScalerParams(np.zeros(2), np.ones(2), 1.0, 0.0), "target_hi must exceed target_lo"),
+    # A setting the artifacts cannot record is refused before any training
+    # (the experiment's outdir is a file, so nothing could be written).
+    (lambda: SvmConfig(C=Fraction(1, 2)), "C must be positive and finite"),
+    (lambda: SvmConfig(kkt_tolerance=Decimal("0.001")), "kkt_tolerance must be positive"),
+    (lambda: KernelConfig(mode=RBF, gamma=Fraction(1, 2)), "gamma must be positive and finite"),
+    (lambda: run_experiment(ExperimentConfig(["T1_SHAPE"], "T1_SHAPE", model="svm",
+                                             C=Fraction(1, 2), outdir=os.devnull)),
+     "C must be positive and finite"),
 ], ids=["_check_int", "_check_positive", "KernelConfig.mode", "entanglement", "preset",
-        "no training source", "model", "kernel", "grid with raw", "rbf gamma"])
+        "no training source", "model", "kernel", "grid with raw", "rbf gamma",
+        "ScalerParams targets", "Fraction C", "Decimal tolerance", "Fraction gamma",
+        "Fraction C experiment"])
 def test_invalid_setting_raises_invalid_setting_error(call, message):
     with pytest.raises(InvalidSettingError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SignalSample(1.0, 10.0, "X"), InvalidLabelsError, "unknown label 'X'"),
+    (lambda: train_ovo(TOY_X, [["A"], ["A"], ["B"], ["B"]], SvmConfig(), RBF_CFG),
+     InvalidLabelsError, "unhashable type: 'list'"),
+    (lambda: ScalerParams(np.zeros(3), np.ones(3)), DimensionError,
+     "data_min and data_max must hold 2 values"),
+], ids=["SignalSample label", "train_ovo unhashable labels", "ScalerParams shapes"])
+def test_unusable_labels_or_shapes_raise_named_errors(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 
@@ -676,6 +704,11 @@ GOLDEN_PROBLEMS = {
     # data seeds 0-3, 212 points. Its 84-point NLOS/LOS_NLOS problem is the
     # slowest pair problem of the benchmark.
     "rbf pool": (("T0_SHAPE", "T1_SHAPE", "T2_SHAPE"), KernelConfig(mode=RBF), range(4), 6),
+    # The benchmark's exact_grid training set: every 4th row of T0+T1 at data
+    # seed 0. Its 39-, 36- and 23-point blocks are the workload's, byte for
+    # byte, up to the labels of one pair, which this helper's sorted classes
+    # negate.
+    "exact grid": (("T0_SHAPE", "T1_SHAPE"), KernelConfig(mode=FIDELITY_EXACT), (0,), 4),
 }
 
 # sha256 of every block's bytes and labels. The model digests below hold for
@@ -686,6 +719,7 @@ GOLDEN_INPUTS = {
     "exact T0": "e76b8db36d7e7c8b3c6091337280e51beb677143486fea61fd82a8939562b14e",
     "sampled T0 8 shots": "1a510133d12edd95817eb92546ba9ad18f7351edbc058e1eaa05d677794cc85d",
     "rbf pool": "5e283d835d5f5102b28eb38d5fee81c7375ea5eab097df39155794ef3e254c6e",
+    "exact grid": "54dfe0beb849949ffb620c4c8e5fcde75401f12c73ddc2c158ff1b94fee4e03f",
 }
 
 # (problem, C, max_passes) -> sha256 over each pair model's alpha bytes,
@@ -709,6 +743,10 @@ GOLDEN_DIGESTS = {
     ("rbf pool", 1.0, 10_000): "ca80b525a346585a748937107779414683c75f27641b2db061b7923b930cc80c",
     ("rbf pool", 10.0, 10_000): "9cb866bdddd4d4c98d7e1b9220d9a3f02acb291a98f20ecb8518d2a4cdf2c58f",
     ("rbf pool", 1.0, 1): "f44e214a929934a63eb44553c0a7c2a0d2ce1e65baa421065e9c7322bec9f094",
+    ("exact grid", 0.1, 10_000): "7e8b0b68e38a17e92883e75fc22597cc4497d25ab0e8b18f61bf9e1f3afe6745",
+    ("exact grid", 1.0, 10_000): "3ca117e0dd458dfab175ad8ab805926070d2fbaedb2b1a2085fa1aae305f07fd",
+    ("exact grid", 10.0, 10_000): "1685c65369f0c6e478a5f86a6687b6e015e913739acdefae93574fb7548710e1",
+    ("exact grid", 1.0, 1): "148605b67ac8589f4fd10c55f494c49d2c6fa8f1446bd359d027273a3b71ea54",
 }
 
 
