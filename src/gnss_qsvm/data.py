@@ -182,13 +182,22 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
     target interval. Anything but an (m, 2) matrix or a Dataset raises
     DimensionError.
     """
-    X = data.features() if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    X = data.features() if isinstance(data, Dataset) else _float_matrix(data)
     if X.ndim != 2 or X.shape[1] != len(_FEATURES):
         raise DimensionError(f"expected an (m, {len(_FEATURES)}) feature matrix, "
                              f"got shape {X.shape}")
     span = params.data_max - params.data_min
     scale = (params.target_hi - params.target_lo) / span
     return params.target_lo + (X - params.data_min) * scale
+
+
+def _float_matrix(X) -> np.ndarray:
+    """``np.asarray(X, dtype=float)``; an entry that is no number (a string)
+    raises InvalidInputError with numpy's message."""
+    try:
+        return np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(str(exc)) from None
 
 
 def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
@@ -201,10 +210,10 @@ def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
 
 def _check_positive(value, name: str) -> None:
     """The check of every positive real setting: Python and numpy integers and
-    floats are accepted, ``bool`` and every other number type (``Fraction``,
-    ``Decimal``) rejected, since the artifacts could not record them; the
-    value must be finite."""
-    if isinstance(value, bool) \
+    floats are accepted, ``bool``, ``np.longdouble`` and every other number
+    type (``Fraction``, ``Decimal``) rejected, since the artifacts could not
+    record them; the value must be finite."""
+    if isinstance(value, (bool, np.longdouble)) \
             or not isinstance(value, (int, float, np.integer, np.floating)) \
             or not 0 < value < math.inf:
         raise InvalidSettingError(f"{name} must be positive and finite, got {value!r}")

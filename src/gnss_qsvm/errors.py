@@ -27,16 +27,17 @@ class InvalidLabelsError(ValueError):
 
 class InvalidSettingError(ValueError):
     """A setting is of the wrong type (a real setting must be a Python or numpy
-    integer or float, not a ``bool``, ``Fraction`` or ``Decimal``), out of range
-    (a scaler's target interval included), not one of its allowed names (kernel
-    mode, entanglement, preset, model, kernel), missing (training source, RBF
-    gamma), or in conflict with another (a boundary grid on raw features)."""
+    integer or float, not a ``bool``, ``np.longdouble``, ``Fraction`` or
+    ``Decimal``), out of range (a scaler's target interval included), not one
+    of its allowed names (kernel mode, entanglement, preset, model, kernel),
+    missing (training source, RBF gamma), or in conflict with another (a
+    boundary grid on raw features)."""
 
 
 class InvalidInputError(ValueError):
-    """Input data is unusable: non-finite features or C/N0 values, an elevation
-    outside [0, 90] degrees, a Gram matrix that is not finite and symmetric, empty
-    data to scale or score, or unequal label counts."""
+    """Input data is unusable: non-numeric or non-finite features, non-finite
+    C/N0 values, an elevation outside [0, 90] degrees, a Gram matrix that is not
+    finite and symmetric, empty data to scale or score, or unequal label counts."""
 
 
 class ModelFormatError(ValueError):

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import ScalerParams, _check_int, _write_artifact
-from .errors import InvalidInputError, InvalidLabelsError
+from .errors import DimensionError, InvalidInputError, InvalidLabelsError, InvalidSettingError
 from .svm import SvmModel, _json_ready, _write_json, predict
 
 
@@ -67,10 +67,10 @@ def boundary_grid(model: SvmModel, scaler: ScalerParams | None, resolution: int)
     the scaled feature square [target_lo, target_hi]^2; a model trained on
     raw features (``scaler`` None) has no such square."""
     if scaler is None:
-        raise ValueError("model was trained on raw features; no scaled square "
-                         "to span (retrain without --raw)")
+        raise InvalidSettingError("model was trained on raw features; no scaled square "
+                                  "to span (retrain without --raw)")
     if model.training_features.shape[1] != 2:
-        raise ValueError(
+        raise DimensionError(
             f"boundary grids need a 2-feature model, got "
             f"{model.training_features.shape[1]} feature(s)"
         )

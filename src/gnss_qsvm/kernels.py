@@ -15,11 +15,11 @@ regardless of evaluation order.
 
 Entry (i, j) has the value ``default_rng(s).binomial(shots, p) / shots``,
 where s is the first uint64 word of ``SeedSequence([mask_seed(seed), i,
-j])``, but no ``SeedSequence`` or ``Generator`` is built per entry: numpy's
-``SeedSequence`` hash (NEP 19) runs once over all entries of a block as
-``uint32`` columns, first for the entry seeds and then for the PCG64 keys
-that ``default_rng`` derives from them, and one reused generator draws every
-binomial after its state is set to the PCG64 state of that entry's seed.
+j])``, but no ``SeedSequence`` is built per entry: numpy's ``SeedSequence``
+hash (NEP 19) runs once over all entries of a block as ``uint32`` columns,
+first for the entry seeds and then for the four PCG64 key words that
+``default_rng`` derives from them. Each entry's binomial is drawn from a
+``PCG64`` that numpy seeds from that entry's key words.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .data import _check_int, _check_positive, mask_seed
+from .data import _check_int, _check_positive, _float_matrix, mask_seed
 from .errors import DegenerateDataError, DimensionError, InvalidInputError, InvalidSettingError
 from .feature_map import FeatureMapConfig, statevectors
 
@@ -38,15 +39,12 @@ RBF = "rbf"
 KERNEL_MODES = (FIDELITY_EXACT, FIDELITY_SAMPLED, RBF)
 MAX_SHOTS = 2**63 - 1
 
-# numpy's SeedSequence constants (pool of four uint32 words) and PCG64's
-# 128-bit LCG multiplier.
+# numpy's SeedSequence constants (pool of four uint32 words).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U32 = (1 << 32) - 1
-_U128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -127,33 +125,34 @@ def _pair_seeds(master_seed: int, rows: np.ndarray, cols: np.ndarray) -> np.ndar
     return _seed_state([*head, rows.astype(np.uint32), cols.astype(np.uint32)], 1)[0]
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of ``default_rng(seed).bit_generator`` for each uint64
-    seed: keys k0..k3 from the seed's SeedSequence, then PCG64's seeding
-    steps on inc = (k2:k3) << 1 | 1 and initial state (k0:k1)."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
+def _pcg64_keys(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``, the PCG64 keys of
+    ``default_rng(seed)``, as one C-contiguous row per uint64 seed: PCG64 reads
+    the raw buffer it is handed, so a row of a strided array seeds a wrong state."""
     # SeedSequence takes a seed below 2**32 as one word; a zero high word
     # hashes exactly like the pool's zero padding, so two words serve all.
-    keys = _seed_state([(seeds & np.uint64(_U32)).astype(np.uint32),
-                        (seeds >> np.uint64(32)).astype(np.uint32)], 4)
-    states = []
-    for k0, k1, k2, k3 in keys.T.tolist():
-        inc = ((k2 << 64 | k3) << 1 | 1) & _U128
-        states.append((((k0 << 64 | k1) + inc) * _PCG64_MULT + inc & _U128, inc))
-    return states
+    return np.ascontiguousarray(_seed_state([(seeds & np.uint64(_U32)).astype(np.uint32),
+                                             (seeds >> np.uint64(32)).astype(np.uint32)], 4).T)
+
+
+@dataclass
+class _Keys(ISeedSequence):
+    """One entry's key words for numpy's own PCG64 seeding, which asks for
+    exactly these: ``generate_state(4, np.uint64)``."""
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _shot_estimates(p: np.ndarray, seeds: np.ndarray, shots: int) -> np.ndarray:
     """``default_rng(seed).binomial(shots, p) / shots`` for each pair of
     ``p`` and uint64 ``seeds``: the fraction of all-zeros outcomes in
-    ``shots`` runs whose all-zeros probability is ``p``. One generator is
-    reused, its state set to each seed's PCG64 state before the draw."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
+    ``shots`` runs whose all-zeros probability is ``p``, drawn from a
+    ``PCG64`` seeded from the seed's row of the batch's keys."""
     out = np.empty(len(p))
-    for k, ((state, inc), p_k) in enumerate(zip(_pcg64_states(seeds), p.tolist())):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+    for k, (words, p_k) in enumerate(zip(_pcg64_keys(seeds), p.tolist())):
+        rng = np.random.Generator(np.random.PCG64(_Keys(words)))
         out[k] = int(rng.binomial(shots, p_k)) / shots
     return out
 
@@ -176,7 +175,7 @@ def check_features(X, cfg: KernelConfig | None = None, name: str = "X",
     non-empty, finite 2-D matrix. With ``cfg``, its width must match the
     feature map (fidelity modes) and RBF needs a resolved gamma; ``width``
     pins the width when no feature map does."""
-    X = np.asarray(X, dtype=float)
+    X = _float_matrix(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {X.shape}")
     if cfg is not None and cfg.mode != RBF:

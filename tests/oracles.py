@@ -247,3 +247,36 @@ def platt_smo(K, y, C: float, tol: float, max_passes: int = 10_000,
     if lower.size:
         return alpha, float(lower.max()), converged
     return alpha, 0.0, converged
+
+
+def kkt_certificate(K, y, alpha, bias: float, C: float, bound_eps: float):
+    """Optimality certificate of a soft-margin SVM dual solution, independent
+    of the solver that produced it. Returns (gap, equality residual, relative
+    duality gap):
+
+    - gap is the maximal-violating-pair gap max F(I_low) - min F(I_up), with
+      F_i = sum_j alpha_j y_j K_ij - y_i, over the index sets of Keerthi,
+      Shevade, Bhattacharyya & Murthy (2001); a coefficient within
+      bound_eps * C of 0 or C counts as on that bound. It is <= 0 if and
+      only if alpha is optimal, and a solver that stops at per-point
+      tolerance tol leaves it <= 2 * tol;
+    - the equality residual is |sum alpha_i y_i|;
+    - the relative duality gap is (P - D) / P between the hinge-loss primal
+      P = w.w / 2 + C sum max(0, 1 - y_i (w.x_i + bias)), at the model's own
+      bias, and the dual D = sum alpha - w.w / 2. It is meaningful only for a
+      positive semi-definite K, where w.w = (alpha y)' K (alpha y) >= 0."""
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    coef = alpha * y
+    wx = K @ coef
+    F = wx - y
+    eps = bound_eps * C
+    below_c, above_zero = alpha < C - eps, alpha > eps
+    up = ((y > 0) & below_c) | ((y < 0) & above_zero)
+    low = ((y > 0) & above_zero) | ((y < 0) & below_c)
+    gap = float(F[low].max(initial=-np.inf) - F[up].min(initial=np.inf))
+    ww = float(coef @ wx)
+    primal = 0.5 * ww + C * float(np.maximum(0.0, 1.0 - y * (wx + bias)).sum())
+    dual = float(alpha.sum()) - 0.5 * ww
+    return gap, abs(float(coef.sum())), (primal - dual) / primal

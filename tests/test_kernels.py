@@ -12,8 +12,9 @@ from gnss_qsvm.kernels import (
     MAX_SHOTS,
     RBF,
     KernelConfig,
+    _Keys,
     _pair_seeds,
-    _pcg64_states,
+    _pcg64_keys,
     _shot_estimates,
     default_gamma,
     gram_rectangular,
@@ -376,7 +377,7 @@ def _numpy_pcg64_state(seed):
 
 
 class TestBatchedSeeding:
-    """The batched SeedSequence hash, PCG64 seeding and reused generator
+    """The batched SeedSequence hash, and PCG64 seeded from its keys,
     against numpy's own SeedSequence and default_rng."""
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -401,7 +402,9 @@ class TestBatchedSeeding:
             2**32, 2**64, 20, dtype=np.uint64).tolist()
         seeds = {"one-word": one_word, "two-word": two_word,
                  "mixed": [s for pair in zip(one_word, two_word) for s in pair]}[kind]
-        assert _pcg64_states(np.array(seeds, dtype=np.uint64)) == [
+        keys = _pcg64_keys(np.array(seeds, dtype=np.uint64))
+        states = [np.random.PCG64(_Keys(row)).state["state"] for row in keys]
+        assert [(st["state"], st["inc"]) for st in states] == [
             _numpy_pcg64_state(s) for s in seeds
         ]
 

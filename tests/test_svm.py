@@ -29,7 +29,7 @@ from gnss_qsvm.errors import (
     InvalidSettingError,
     ModelFormatError,
 )
-from gnss_qsvm.evaluate import confusion, make_report
+from gnss_qsvm.evaluate import boundary_grid, confusion, make_report
 from gnss_qsvm.feature_map import FeatureMapConfig, statevectors
 from gnss_qsvm.kernels import (
     FIDELITY_EXACT,
@@ -54,7 +54,7 @@ from gnss_qsvm.svm import (
     train_ovo,
 )
 
-from oracles import brute_force_dual_max, dual_value, platt_smo
+from oracles import brute_force_dual_max, dual_value, kkt_certificate, platt_smo
 
 IDENTITY_GRAM = np.eye(2)
 
@@ -450,10 +450,17 @@ def test_unusable_input_raises_invalid_input_error(call):
     (lambda: run_experiment(ExperimentConfig(["T1_SHAPE"], "T1_SHAPE", model="svm",
                                              C=Fraction(1, 2), outdir=os.devnull)),
      "C must be positive and finite"),
+    # model.json records floats: a longdouble C could not be written, and a
+    # longdouble gamma would run the RBF block in extended precision.
+    (lambda: SvmConfig(C=np.longdouble(0.5)), "C must be positive and finite"),
+    (lambda: KernelConfig(mode=RBF, gamma=np.longdouble(0.5)),
+     "gamma must be positive and finite"),
+    (lambda: boundary_grid(train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG), None, 4),
+     "model was trained on raw features"),
 ], ids=["_check_int", "_check_positive", "KernelConfig.mode", "entanglement", "preset",
         "no training source", "model", "kernel", "grid with raw", "rbf gamma",
         "ScalerParams targets", "Fraction C", "Decimal tolerance", "Fraction gamma",
-        "Fraction C experiment"])
+        "Fraction C experiment", "longdouble C", "longdouble gamma", "boundary_grid raw"])
 def test_invalid_setting_raises_invalid_setting_error(call, message):
     with pytest.raises(InvalidSettingError, match=message):
         call()
@@ -465,7 +472,17 @@ def test_invalid_setting_raises_invalid_setting_error(call, message):
      InvalidLabelsError, "unhashable type: 'list'"),
     (lambda: ScalerParams(np.zeros(3), np.ones(3)), DimensionError,
      "data_min and data_max must hold 2 values"),
-], ids=["SignalSample label", "train_ovo unhashable labels", "ScalerParams shapes"])
+    (lambda: boundary_grid(train_ovo(np.column_stack([TOY_X, TOY_X[:, 0]]), TOY_LABELS,
+                                     SvmConfig(), RBF_CFG),
+                           ScalerParams(np.zeros(2), np.ones(2)), 4),
+     DimensionError, "boundary grids need a 2-feature model, got 3 feature"),
+    # A string in a feature matrix keeps numpy's message.
+    (lambda: predict(train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG), [[0.5, "LOS"]]),
+     InvalidInputError, "could not convert string to float: 'LOS'"),
+    (lambda: apply_scaler(ScalerParams(np.zeros(2), np.ones(2)), [[0.5, "LOS"]]),
+     InvalidInputError, "could not convert string to float: 'LOS'"),
+], ids=["SignalSample label", "train_ovo unhashable labels", "ScalerParams shapes",
+        "boundary_grid width", "predict string", "apply_scaler string"])
 def test_unusable_labels_or_shapes_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -779,6 +796,32 @@ def test_memory_order_of_gram_moves_no_bit(golden_blocks, problem):
         f_model = _solve_quietly(np.asfortranarray(K), y, SvmConfig())
         assert c_model.alpha.tobytes() == f_model.alpha.tobytes()
         assert repr(c_model.bias) == repr(f_model.bias)
+
+
+# The largest relative duality gap that each positive semi-definite golden
+# problem showed over C = 0.1, 1 and 10 when this test was written (5.3e-3,
+# 2.4e-3, 4.8e-4 and 6.3e-4), rounded up. The 8-shot sampled Gram is
+# indefinite, so its primal has no w.w >= 0 and is left out.
+DUALITY_GAP_BOUNDS = {"rbf T0+T1": 6e-3, "exact T0": 3e-3, "rbf pool": 5e-4, "exact grid": 7e-4}
+
+
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("problem", list(GOLDEN_PROBLEMS))
+def test_pair_models_pass_kkt_certificate(golden_blocks, problem, C):
+    # Platt's per-point test at tolerance tol leaves the maximal-violating-pair
+    # gap at most 2 * tol. The certificate counts a coefficient within 1e-8 * C
+    # (the solver's _BOUND_EPS) of a bound as on it: take_step can leave one a
+    # single ulp short of C (0.7 + 0.3 is 0.9999999999999999), where it counts
+    # as free although no pair can move it, and then the strict gap reaches
+    # 3.94 (ROADMAP item 11).
+    cfg = SvmConfig(C=C)
+    for K, y in golden_blocks[problem]:
+        model = _solve_quietly(K, y, cfg)
+        gap, residual, duality_gap = kkt_certificate(K, y, model.alpha, model.bias, C, 1e-8)
+        assert gap <= 2 * cfg.kkt_tolerance
+        assert residual <= 1e-12 * C
+        if problem in DUALITY_GAP_BOUNDS:
+            assert -1e-12 <= duality_gap <= DUALITY_GAP_BOUNDS[problem]
 
 
 def test_sampled_golden_pair_blocks_are_indefinite(golden_blocks):
