@@ -56,10 +56,13 @@ class SignalSample:
     label: str
 
     def __post_init__(self):
-        if not math.isfinite(self.cn0_diff):
-            raise InvalidInputError(f"cn0_diff must be finite, got {self.cn0_diff}")
-        if not math.isfinite(self.elevation):
-            raise InvalidInputError(f"elevation must be finite, got {self.elevation}")
+        for name, value in (("cn0_diff", self.cn0_diff), ("elevation", self.elevation)):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:  # no number: a string, None
+                finite = False
+            if not finite:
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.elevation <= 90.0:
             raise InvalidInputError(f"elevation {self.elevation} out of [0, 90] degrees")
         if self.label not in LABELS:
@@ -69,6 +72,10 @@ class SignalSample:
 @dataclass(eq=False)
 class Dataset:
     samples: list[SignalSample]
+
+    def __post_init__(self):
+        if not all(isinstance(s, SignalSample) for s in self.samples):
+            raise InvalidInputError("a Dataset holds only SignalSample objects")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -169,6 +176,8 @@ def write_csv(dataset: Dataset, path) -> None:
 
 def fit_scaler(train: Dataset, target_lo: float = 0.0, target_hi: float = 1.0) -> ScalerParams:
     """Record per-feature min/max from the training set only."""
+    if not isinstance(train, Dataset):
+        raise InvalidInputError(f"a scaler is fitted on a Dataset, got {type(train).__name__}")
     if not train.samples:
         raise InvalidInputError("cannot fit a scaler on an empty dataset")
     X = train.features()

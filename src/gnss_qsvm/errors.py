@@ -35,9 +35,10 @@ class InvalidSettingError(ValueError):
 
 
 class InvalidInputError(ValueError):
-    """Input data is unusable: non-numeric or non-finite features, non-finite
-    C/N0 values, an elevation outside [0, 90] degrees, a Gram matrix that is not
-    finite and symmetric, empty data to scale or score, or unequal label counts."""
+    """Input data is unusable: a feature, C/N0 value, elevation or Gram entry that is
+    no finite number, an SMO label that is no number, an elevation outside [0, 90]
+    degrees, an asymmetric Gram, a Dataset of non-samples, anything but a non-empty
+    Dataset to scale, empty data to score, or unequal label counts."""
 
 
 class ModelFormatError(ValueError):

@@ -43,7 +43,7 @@ MAX_SHOTS = 2**63 - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _U32 = (1 << 32) - 1
 
 
@@ -88,11 +88,15 @@ def _hash_consts(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarr
 # np.uint64) takes 8.
 _XOR_A, _MUL_A = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
 _XOR_B, _MUL_B = _hash_consts(_INIT_B, _MULT_B, 8)
+# Per source word of the pool mixing: its destination words and hashmix constants.
+_MIX_STEPS = [(np.delete(np.arange(_POOL_SIZE), src), _XOR_A[_POOL_SIZE + 3 * src:][:3],
+               _MUL_A[_POOL_SIZE + 3 * src:][:3]) for src in range(_POOL_SIZE)]
 
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mul
-    return value ^ value >> np.uint32(16)
+    value = value ^ xor
+    value *= mul
+    return np.bitwise_xor(value, value >> _SHIFT, out=value)
 
 
 def _seed_state(words: list, n_words: int) -> np.ndarray:
@@ -105,13 +109,13 @@ def _seed_state(words: list, n_words: int) -> np.ndarray:
     for k, word in enumerate(words):
         pool[k] = word
     pool = _hashmix(pool, _XOR_A[:_POOL_SIZE], _MUL_A[:_POOL_SIZE])
-    for src in range(_POOL_SIZE):
+    for src, (dst, xor, mul) in enumerate(_MIX_STEPS):
         # The three calls of one source word touch distinct destinations.
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        calls = slice(_POOL_SIZE + 3 * src, _POOL_SIZE + 3 * src + 3)
-        mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
-                 - np.uint32(_MIX_MULT_R) * _hashmix(pool[src], _XOR_A[calls], _MUL_A[calls]))
-        pool[dst] = mixed ^ mixed >> np.uint32(16)
+        mixed = pool[dst]
+        mixed *= _MIX_MULT_L
+        mixed -= _hashmix(pool[src], xor, mul) * _MIX_MULT_R
+        mixed ^= mixed >> _SHIFT
+        pool[dst] = mixed
     n = 2 * n_words
     out = _hashmix(pool[np.arange(n) % _POOL_SIZE], _XOR_B[:n], _MUL_B[:n]).astype(np.uint64)
     return out[0::2] | out[1::2] << np.uint64(32)
@@ -150,11 +154,9 @@ def _shot_estimates(p: np.ndarray, seeds: np.ndarray, shots: int) -> np.ndarray:
     ``p`` and uint64 ``seeds``: the fraction of all-zeros outcomes in
     ``shots`` runs whose all-zeros probability is ``p``, drawn from a
     ``PCG64`` seeded from the seed's row of the batch's keys."""
-    out = np.empty(len(p))
-    for k, (words, p_k) in enumerate(zip(_pcg64_keys(seeds), p.tolist())):
-        rng = np.random.Generator(np.random.PCG64(_Keys(words)))
-        out[k] = int(rng.binomial(shots, p_k)) / shots
-    return out
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return np.array([int(generator(pcg64(_Keys(words))).binomial(shots, p_k)) / shots
+                     for words, p_k in zip(_pcg64_keys(seeds), p.tolist())])
 
 
 def default_gamma(X) -> float:

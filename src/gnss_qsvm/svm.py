@@ -10,13 +10,13 @@ selection: sweeps alternate between all points and the non-bound subset,
 and the partner index maximizes |E_i - E_j| with ties going to the lowest
 index. No randomized heuristics, so identical inputs give identical models.
 When that partner and the other free points all fail, Platt's fallback scans
-every point; here one vectorized step test first rules out, for all
-partners at once, those whose pair update must be rejected, and the scan
-visits only the rest. A rejected step changes nothing, so the model is bit
-for bit the one the plain scan gives. The step test divides only where the
-pair curvature is positive and leaves every other partner to the scalar
-update, so it never divides by zero. The Gram must be exactly symmetric,
-which is checked, so that column j is read as the contiguous row j.
+the bound points in index order (a failed step changes nothing, so the free
+ones would fail again); most scans step at their first partner. A point whose
+last scan found no partner is stuck until it takes a step. Its scan skips the
+partners that one vectorized step test rejects, only those whose pair update
+must be rejected, so both scans take the same first step and the model is the
+plain scan's bit for bit. The test never divides by a non-positive curvature.
+The Gram must be exactly symmetric (checked), so column j is read as row j.
 
 Each step reads its scalars from Python-float mirrors of alpha, f, the
 labels and the Gram diagonal; numpy keeps only the vector work (the update of
@@ -59,7 +59,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .data import ScalerParams, _check_int, _check_positive, _write_artifact
+from .data import ScalerParams, _check_int, _check_positive, _float_matrix, _write_artifact
 from .errors import (ConvergenceWarning, DimensionError, InvalidInputError, InvalidLabelsError,
                      ModelFormatError)
 from .feature_map import FeatureMapConfig, statevectors
@@ -156,12 +156,12 @@ def solve_binary_smo(
     Non-convergence within max_passes sweeps yields a best-effort model
     flagged converged=False.
     """
-    K = np.ascontiguousarray(gram, dtype=float)
-    y = np.asarray(y, dtype=float)
+    K = np.ascontiguousarray(_float_matrix(gram))
+    y = _float_matrix(y)
     n = y.shape[0]
     if K.shape != (n, n):
         raise DimensionError(f"Gram shape {K.shape} does not match {n} label(s)")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all((y == 1.0) | (y == -1.0)):
         raise InvalidLabelsError("labels must be +1 or -1")
     if np.all(y == y[0]):
         raise InvalidLabelsError("training labels contain a single class")
@@ -183,7 +183,7 @@ def solve_binary_smo(
     # are rebound, never mutated, so a loop runs over the list it started on.
     alpha_l, y_l, diag_l, f_l = [0.0] * n, y.tolist(), diag.tolist(), [0.0] * n
     free = np.zeros(n, dtype=bool)
-    nonbound = []
+    nonbound, stuck = [], set()  # stuck: the points whose last full scan found no partner
 
     def take_step(i1: int, i2: int, e2: float) -> bool:
         # e2 is examine's error of i2, which only a successful step changes.
@@ -236,6 +236,7 @@ def solve_binary_smo(
         f_l = f.tolist()
         alpha[i1] = alpha_l[i1] = a1
         alpha[i2] = alpha_l[i2] = a2
+        stuck.discard(i2)
         free1, free2 = 0.0 < a1 < C, 0.0 < a2 < C
         if free1 != (0.0 < a1o < C) or free2 != (0.0 < a2o < C):
             free[i1], free[i2] = free1, free2
@@ -283,11 +284,13 @@ def solve_binary_smo(
         for j in nonbound:
             if j != i1 and j != i2 and take_step(j, i2, e2):
                 return True
-        # Every free point failed above and failed steps change nothing, so
-        # the full scan needs only the bound points the step test keeps.
-        for j in (may_step(i2, e2) & ~free).nonzero()[0].tolist():
+        # The full scan: bound points only, filtered by the step test for a stuck i2.
+        scan = ((may_step(i2, e2) & ~free).nonzero()[0].tolist() if i2 in stuck
+                else (j for j in range(n) if not 0.0 < alpha_l[j] < C))
+        for j in scan:
             if take_step(j, i2, e2):
                 return True
+        stuck.add(i2)
         return False
 
     converged = False

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnss_qsvm.cli import ExperimentConfig, fit_pipeline, run_experiment
@@ -414,11 +414,21 @@ _NAN_X = [[0.5, np.nan]]
     lambda: fit_scaler(Dataset([])),
     lambda: make_report([], [], ["A", "B"]),
     lambda: confusion(["A"], ["A", "B"], ["A", "B"]),
+    # Values that are no numbers, and containers of the wrong kind.
+    lambda: SignalSample("1.0", 10.0, "LOS"),
+    lambda: SignalSample(1.0, None, "LOS"),
+    lambda: fit_scaler([[1.0, 2.0]]),
+    lambda: Dataset([1, 2]).features(),
+    lambda: Dataset([1, 2]).labels(),
+    lambda: solve_binary_smo(np.eye(2), ["LOS", -1], SvmConfig()),
+    lambda: solve_binary_smo([[1.0, "0.5"], ["x", 1.0]], [1, -1], SvmConfig()),
 ], ids=["predict", "train_ovo", "gram_symmetric", "gram_rectangular", "statevectors",
         "solve_binary_smo", "SignalSample", "SignalSample_elevation_nan",
         "SignalSample_elevation_inf", "SignalSample_elevation_-inf",
         "SignalSample_elevation_range", "fit_scaler_empty",
-        "make_report_empty", "confusion_lengths"])
+        "make_report_empty", "confusion_lengths", "SignalSample_string",
+        "SignalSample_elevation_none", "fit_scaler_list", "Dataset_features",
+        "Dataset_labels", "solve_binary_smo_string_label", "solve_binary_smo_string_gram"])
 def test_unusable_input_raises_invalid_input_error(call):
     with pytest.raises(InvalidInputError):
         call()
@@ -870,3 +880,29 @@ def test_zero_curvature_pairs_match_plain_platt_scan(C):
     assert np.any(np.triu(sampled, k=1) == 1.0)
     for K, labels in [(rbf, y), (sampled, y[:14])]:
         _assert_matches_plain_platt(K, labels, SvmConfig(C=C, max_passes=200))
+
+
+@settings(deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["rbf", "sampled", "duplicated"]), n=st.integers(6, 30),
+       C=st.sampled_from([0.3, 1.0, 10.0]), seed=st.integers(0, 2**32 - 1))
+@example(kind="rbf", n=14, C=1.0, seed=13)
+@example(kind="duplicated", n=14, C=1.0, seed=3)
+@example(kind="sampled", n=30, C=1.0, seed=10)
+def test_smo_matches_plain_platt_scan_on_random_problems(kind, n, C, seed):
+    # Random labels on random points leave many points on a bound, so full
+    # scans run. Some fail: the point is then stuck, and its next scans go
+    # through the step test until a step takes it off the stuck set. Each
+    # explicit example does all three (counted with an instrumented copy of
+    # the solver). 8-shot sampled Grams are indefinite; duplicated points
+    # give zero curvature.
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 1, size=(n, 2))
+    if kind == "sampled":
+        K = gram_symmetric(pts, KernelConfig(FIDELITY_SAMPLED, shots=8, seed=seed)).values
+    else:
+        if kind == "duplicated":
+            pts = np.vstack([pts, pts[: n // 2]])
+        K = gram_symmetric(pts, KernelConfig(RBF, gamma=float(rng.uniform(0.5, 20)))).values
+    y = rng.choice([-1.0, 1.0], size=len(pts))
+    y[:2] = 1.0, -1.0
+    _assert_matches_plain_platt(K, y, SvmConfig(C=C, max_passes=200))
