@@ -27,6 +27,7 @@ LABELS = ("LOS", "NLOS", "LOS_NLOS")
 
 CSV_HEADER = ["cn0_diff", "elevation_deg", "label"]
 _FEATURES = ("cn0_diff", "elevation")  # the columns of Dataset.features()
+_SAMPLES_ONLY = "a Dataset holds only SignalSample objects"
 
 T0_SHAPE = "T0_SHAPE"
 T1_SHAPE = "T1_SHAPE"
@@ -75,18 +76,24 @@ class Dataset:
 
     def __post_init__(self):
         if not all(isinstance(s, SignalSample) for s in self.samples):
-            raise InvalidInputError("a Dataset holds only SignalSample objects")
+            raise InvalidInputError(_SAMPLES_ONLY)
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def features(self) -> np.ndarray:
         """n x 2 matrix with columns (cn0_diff, elevation), also for n = 0."""
-        rows = [[s.cn0_diff, s.elevation] for s in self.samples]
+        try:
+            rows = [[s.cn0_diff, s.elevation] for s in self.samples]
+        except AttributeError:  # the list was changed after construction
+            raise InvalidInputError(_SAMPLES_ONLY) from None
         return np.array(rows, dtype=float).reshape(len(rows), len(_FEATURES))
 
     def labels(self) -> list[str]:
-        return [s.label for s in self.samples]
+        try:
+            return [s.label for s in self.samples]
+        except AttributeError:
+            raise InvalidInputError(_SAMPLES_ONLY) from None
 
 
 @dataclass(eq=False)

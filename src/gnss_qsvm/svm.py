@@ -12,10 +12,10 @@ index. No randomized heuristics, so identical inputs give identical models.
 When that partner and the other free points all fail, Platt's fallback scans
 the bound points in index order (a failed step changes nothing, so the free
 ones would fail again); most scans step at their first partner. A point whose
-last scan found no partner is stuck until it takes a step. Its scan skips the
-partners that one vectorized step test rejects, only those whose pair update
-must be rejected, so both scans take the same first step and the model is the
-plain scan's bit for bit. The test never divides by a non-positive curvature.
+last scan found no partner is stuck until it takes a step. Its examine starts
+with one vectorized step test, which rejects only the partners whose update
+must fail; the heuristic partner, the free loop and the scan skip those, so the
+model is the plain search's bit for bit. It divides only by positive curvatures.
 The Gram must be exactly symmetric (checked), so column j is read as row j.
 
 Each step reads its scalars from Python-float mirrors of alpha, f, the
@@ -158,6 +158,8 @@ def solve_binary_smo(
     """
     K = np.ascontiguousarray(_float_matrix(gram))
     y = _float_matrix(y)
+    if y.ndim != 1:
+        raise DimensionError(f"labels must be a 1-D array, got shape {y.shape}")
     n = y.shape[0]
     if K.shape != (n, n):
         raise DimensionError(f"Gram shape {K.shape} does not match {n} label(s)")
@@ -184,6 +186,7 @@ def solve_binary_smo(
     alpha_l, y_l, diag_l, f_l = [0.0] * n, y.tolist(), diag.tolist(), [0.0] * n
     free = np.zeros(n, dtype=bool)
     nonbound, stuck = [], set()  # stuck: the points whose last full scan found no partner
+    everyone = [True] * n
 
     def take_step(i1: int, i2: int, e2: float) -> bool:
         # e2 is examine's error of i2, which only a successful step changes.
@@ -196,16 +199,18 @@ def solve_binary_smo(
         e1 = f1 + b - y1
         s = y1 * y2
         if s > 0:
-            lo, hi = max(0.0, a1o + a2o - C), min(C, a1o + a2o)
+            lo, hi = a1o + a2o - C, a1o + a2o
         else:
-            lo, hi = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
+            lo, hi = a2o - a1o, C + a2o - a1o
+        # Each clip is the comparison max() or min() makes: max(0.0, lo) is lo only if lo > 0.0.
+        lo, hi = lo if lo > 0.0 else 0.0, hi if hi < C else C
         if hi - lo < _STEP_EPS:
             return False
         k11, k12, k22 = diag_l[i1], K.item(i1, i2), diag_l[i2]
         eta = k11 + k22 - 2.0 * k12
         if eta > _STEP_EPS:
             a2 = a2o + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, lo), hi)
+            a2 = lo if a2 < lo else hi if a2 > hi else a2  # min(max(a2, lo), hi): lo < hi
         else:
             # Non-positive curvature (possible with sampled kernels):
             # compare the dual objective at both clip bounds.
@@ -220,7 +225,7 @@ def solve_binary_smo(
         if abs(a2 - a2o) < _STEP_EPS * (a2 + a2o + _STEP_EPS):
             return False
         a1 = a1o + s * (a2o - a2)
-        a1 = min(max(a1, 0.0), C)
+        a1 = 0.0 if a1 < 0.0 else C if a1 > C else a1
 
         d1 = y1 * (a1 - a1o)
         d2 = y2 * (a2 - a2o)
@@ -248,18 +253,18 @@ def solve_binary_smo(
         # same arithmetic: False only where take_step must return False.
         # Non-positive curvature is left to take_step.
         a2o, y2 = alpha_l[i2], y_l[i2]
-        errors = f + b - y
         same = same_label[y2]
         pair_sum = alpha + a2o
-        lo = np.where(same, np.maximum(0.0, pair_sum - C), np.maximum(0.0, a2o - alpha))
-        hi = np.where(same, np.minimum(C, pair_sum), np.minimum(C, C + a2o - alpha))
+        lo = np.maximum(0.0, np.where(same, pair_sum - C, a2o - alpha))
+        hi = np.minimum(C, np.where(same, pair_sum, C + a2o - alpha))
         # The pair curvature per call: an n x n table of it would cost
         # as much memory as the Gram block.
         eta = diag + diag_l[i2] - 2.0 * K[i2]
         curved = eta > _STEP_EPS
-        # y2 is +/-1, so y2 * (x / eta) is (y2 * x) / eta bit for bit.
-        step = np.divide(errors - e2, eta, out=np.zeros(n), where=curved)
-        a2 = np.minimum(np.maximum(a2o + y2 * step, lo), hi)
+        eta[~curved] = 1.0  # those partners' steps are masked below
+        step = (f + b - y - e2) / eta
+        # y2 is +/-1, so a2o + y2 * (x / eta) is a2o +/- x / eta bit for bit.
+        a2 = np.minimum(np.maximum(a2o + step if y2 > 0 else a2o - step, lo), hi)
         tiny = np.abs(a2 - a2o) < _STEP_EPS * (a2 + a2o + _STEP_EPS)
         ok = ~((hi - lo < _STEP_EPS) | (curved & tiny))
         ok[i2] = False
@@ -271,6 +276,9 @@ def solve_binary_smo(
         r2 = e2 * y2
         if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0)):
             return False
+        # A failed step changes nothing: one step test holds for every partner of a stuck i2.
+        ok = may_step(i2, e2) if i2 in stuck else None
+        tries = everyone if ok is None else ok.tolist()
         i1 = i2
         if len(nonbound) > 1:
             # The first largest |((f_j + b) - y_j) - e2|, as argmax picks it.
@@ -279,14 +287,14 @@ def solve_binary_smo(
                 gap = abs(f_l[j] + b - y_l[j] - e2)
                 if gap > largest:
                     largest, i1 = gap, j
-            if take_step(i1, i2, e2):
+            if tries[i1] and take_step(i1, i2, e2):
                 return True
         for j in nonbound:
-            if j != i1 and j != i2 and take_step(j, i2, e2):
+            if j != i1 and j != i2 and tries[j] and take_step(j, i2, e2):
                 return True
-        # The full scan: bound points only, filtered by the step test for a stuck i2.
-        scan = ((may_step(i2, e2) & ~free).nonzero()[0].tolist() if i2 in stuck
-                else (j for j in range(n) if not 0.0 < alpha_l[j] < C))
+        # The full scan: the bound points only.
+        scan = ((j for j in range(n) if not 0.0 < alpha_l[j] < C) if ok is None
+                else (ok & ~free).nonzero()[0].tolist())
         for j in scan:
             if take_step(j, i2, e2):
                 return True

@@ -26,7 +26,7 @@ from gnss_qsvm.data import (
     load_csv,
     write_csv,
 )
-from gnss_qsvm.errors import CsvParseError, DegenerateDataError, DimensionError
+from gnss_qsvm.errors import CsvParseError, DegenerateDataError, DimensionError, InvalidInputError
 from gnss_qsvm.evaluate import (boundary_grid, make_report, save_confusion_csv, save_grid_csv,
                                 save_report)
 from gnss_qsvm.kernels import RBF, KernelConfig
@@ -344,6 +344,20 @@ class TestGenerateSynthetic:
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             generate_synthetic("T1_SHAPE", seed)
+
+
+@pytest.mark.parametrize("call", [
+    Dataset.features, Dataset.labels, fit_scaler,
+    lambda ds: apply_scaler(ScalerParams(np.zeros(2), np.ones(2)), ds),
+], ids=["features", "labels", "fit_scaler", "apply_scaler"])
+@pytest.mark.parametrize("rows", [[], [(1.0, 10.0, "LOS")]], ids=["empty", "one sample"])
+def test_samples_changed_after_construction_raise_invalid_input_error(call, rows):
+    # The constructor checks the list it is given; an item appended later
+    # fails with the constructor's message where it is read.
+    ds = make_dataset(rows)
+    ds.samples.append(1)
+    with pytest.raises(InvalidInputError, match="a Dataset holds only SignalSample objects"):
+        call(ds)
 
 
 def test_labels_constant_matches_schema():

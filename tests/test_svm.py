@@ -491,8 +491,14 @@ def test_invalid_setting_raises_invalid_setting_error(call, message):
      InvalidInputError, "could not convert string to float: 'LOS'"),
     (lambda: apply_scaler(ScalerParams(np.zeros(2), np.ones(2)), [[0.5, "LOS"]]),
      InvalidInputError, "could not convert string to float: 'LOS'"),
+    # Labels that are not one vector, with a Gram that would fit their length.
+    (lambda: solve_binary_smo(np.eye(1), 1.0, SvmConfig()), DimensionError,
+     r"labels must be a 1-D array, got shape \(\)"),
+    (lambda: solve_binary_smo(np.eye(2), [[1.0], [-1.0]], SvmConfig()), DimensionError,
+     r"labels must be a 1-D array, got shape \(2, 1\)"),
 ], ids=["SignalSample label", "train_ovo unhashable labels", "ScalerParams shapes",
-        "boundary_grid width", "predict string", "apply_scaler string"])
+        "boundary_grid width", "predict string", "apply_scaler string",
+        "solve_binary_smo scalar labels", "solve_binary_smo column labels"])
 def test_unusable_labels_or_shapes_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -888,13 +894,18 @@ def test_zero_curvature_pairs_match_plain_platt_scan(C):
 @example(kind="rbf", n=14, C=1.0, seed=13)
 @example(kind="duplicated", n=14, C=1.0, seed=3)
 @example(kind="sampled", n=30, C=1.0, seed=10)
+@example(kind="rbf", n=10, C=10.0, seed=28)
+@example(kind="sampled", n=18, C=1.0, seed=57)
 def test_smo_matches_plain_platt_scan_on_random_problems(kind, n, C, seed):
     # Random labels on random points leave many points on a bound, so full
-    # scans run. Some fail: the point is then stuck, and its next scans go
-    # through the step test until a step takes it off the stuck set. Each
-    # explicit example does all three (counted with an instrumented copy of
-    # the solver). 8-shot sampled Grams are indefinite; duplicated points
-    # give zero curvature.
+    # scans run. Some fail: the point is then stuck, and its next examines
+    # go through the step test until a step takes it off the stuck set. Each
+    # explicit example does all three, and in each the step test rejects a
+    # stuck point's heuristic partner. In the last two, a stuck point's free
+    # loop also skips a partner that the test rejects and then steps with a
+    # later one. All of this was counted with an instrumented copy of the
+    # solver. 8-shot sampled Grams are indefinite; duplicated points give
+    # zero curvature.
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 1, size=(n, 2))
     if kind == "sampled":
