@@ -75,7 +75,8 @@ class Dataset:
     samples: list[SignalSample]
 
     def __post_init__(self):
-        if not all(isinstance(s, SignalSample) for s in self.samples):
+        if not isinstance(self.samples, (list, tuple)) \
+                or not all(isinstance(s, SignalSample) for s in self.samples):
             raise InvalidInputError(_SAMPLES_ONLY)
 
     def __len__(self) -> int:

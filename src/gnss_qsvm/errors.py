@@ -19,10 +19,10 @@ class CsvParseError(ValueError):
 
 
 class InvalidLabelsError(ValueError):
-    """Label set is unusable for training (single class, unknown, missing or
-    unhashable labels), a sample's label is not a reception label, a model's
-    binary models are not the one-vs-one pairs of its classes, or a truth or
-    predicted label is outside the class list being scored."""
+    """Label set is unusable for training (no labels, one class, unknown, missing or
+    unhashable labels), a sample's label is not a reception label, a model's binary
+    models are not the one-vs-one pairs of its classes, or a label being scored is
+    unhashable or outside the class list, or that list names a class twice."""
 
 
 class InvalidSettingError(ValueError):

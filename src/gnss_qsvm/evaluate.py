@@ -34,17 +34,22 @@ class BoundaryGrid:
 
 def confusion(predictions, truth, classes) -> np.ndarray:
     """Count matrix with rows = truth class, columns = predicted class."""
-    predictions, truth = list(predictions), list(truth)
+    predictions, truth, classes = list(predictions), list(truth), list(classes)
     if len(predictions) != len(truth):
         raise InvalidInputError(f"{len(predictions)} prediction(s) vs {len(truth)} truth label(s)")
-    index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((len(index), len(index)), dtype=int)
-    for p, t in zip(predictions, truth):
-        if t not in index:
-            raise InvalidLabelsError(f"truth label {t!r} not in class list")
-        if p not in index:
-            raise InvalidLabelsError(f"predicted label {p!r} not in class list")
-        matrix[index[t], index[p]] += 1
+    matrix = np.zeros((len(classes), len(classes)), dtype=int)
+    try:
+        index = {c: i for i, c in enumerate(classes)}
+        if len(index) != len(classes):
+            raise InvalidLabelsError(f"class list {classes} names a class twice")
+        for p, t in zip(predictions, truth):
+            if t not in index:
+                raise InvalidLabelsError(f"truth label {t!r} not in class list")
+            if p not in index:
+                raise InvalidLabelsError(f"predicted label {p!r} not in class list")
+            matrix[index[t], index[p]] += 1
+    except TypeError as exc:  # an unhashable label or class
+        raise InvalidLabelsError(str(exc)) from None
     return matrix
 
 

@@ -18,9 +18,10 @@ must fail; the heuristic partner, the free loop and the scan skip those, so the
 model is the plain search's bit for bit. It divides only by positive curvatures.
 The Gram must be exactly symmetric (checked), so column j is read as row j.
 
-Each step reads its scalars from Python-float mirrors of alpha, f, the
-labels and the Gram diagonal; numpy keeps only the vector work (the update of
-f, which one ``tolist`` then mirrors, and the step test). The partner is
+Each step reads its scalars as Python floats: alpha and f through memoryviews
+of the arrays, which it updates in place, the labels and the Gram diagonal from
+lists. numpy keeps only the vector work: the update of f, and the step test,
+which keeps the curvature row of the last point it tested. The partner is
 chosen by a plain loop over the free points that computes
 ((f_j + b) - y_j) - e2 with the same float64 operations in the same order as
 the numpy expression it replaced, and keeps the first maximum, as ``argmax``
@@ -165,8 +166,8 @@ def solve_binary_smo(
         raise DimensionError(f"Gram shape {K.shape} does not match {n} label(s)")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise InvalidLabelsError("labels must be +1 or -1")
-    if np.all(y == y[0]):
-        raise InvalidLabelsError("training labels contain a single class")
+    if not (np.any(y > 0) and np.any(y < 0)):
+        raise InvalidLabelsError("training labels must hold both +1 and -1")
 
     if not np.all(np.isfinite(K)):
         raise InvalidInputError("Gram values must be finite")
@@ -180,17 +181,18 @@ def solve_binary_smo(
     alpha = np.zeros(n)
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
     b = 0.0  # working threshold; decision value is f + b
-    # Python-float mirrors for every scalar read, and the free set
-    # (0 < alpha < C), kept up to date by take_step. f_l and the free list
-    # are rebound, never mutated, so a loop runs over the list it started on.
-    alpha_l, y_l, diag_l, f_l = [0.0] * n, y.tolist(), diag.tolist(), [0.0] * n
+    # Scalars are read as Python floats: alpha and f through views of arrays that
+    # change only in place, y and the diagonal from lists. Each loop of examine
+    # ends at its first successful step; the free list is rebound, never mutated.
+    alpha_l, f_l, y_l, diag_l = memoryview(alpha), memoryview(f), y.tolist(), diag.tolist()
     free = np.zeros(n, dtype=bool)
     nonbound, stuck = [], set()  # stuck: the points whose last full scan found no partner
     everyone = [True] * n
+    curvature = [-1, None, None]  # (i2, eta, curved) of may_step's last call
 
     def take_step(i1: int, i2: int, e2: float) -> bool:
         # e2 is examine's error of i2, which only a successful step changes.
-        nonlocal b, f, f_l, nonbound
+        nonlocal b, f, nonbound
         if i1 == i2:
             return False
         a1o, a2o = alpha_l[i1], alpha_l[i2]
@@ -238,9 +240,7 @@ def solve_binary_smo(
         else:
             b = 0.5 * (b1 + b2)
         f += d1 * K[i1] + d2 * K[i2]
-        f_l = f.tolist()
-        alpha[i1] = alpha_l[i1] = a1
-        alpha[i2] = alpha_l[i2] = a2
+        alpha_l[i1], alpha_l[i2] = a1, a2
         stuck.discard(i2)
         free1, free2 = 0.0 < a1 < C, 0.0 < a2 < C
         if free1 != (0.0 < a1o < C) or free2 != (0.0 < a2o < C):
@@ -257,11 +257,14 @@ def solve_binary_smo(
         pair_sum = alpha + a2o
         lo = np.maximum(0.0, np.where(same, pair_sum - C, a2o - alpha))
         hi = np.minimum(C, np.where(same, pair_sum, C + a2o - alpha))
-        # The pair curvature per call: an n x n table of it would cost
-        # as much memory as the Gram block.
-        eta = diag + diag_l[i2] - 2.0 * K[i2]
-        curved = eta > _STEP_EPS
-        eta[~curved] = 1.0  # those partners' steps are masked below
+        # Only the last point's curvature row is kept, as a stuck point is tested
+        # again and again; an n x n table would cost as much memory as the Gram.
+        if curvature[0] != i2:
+            eta = diag + diag_l[i2] - 2.0 * K[i2]
+            curved = eta > _STEP_EPS
+            eta[~curved] = 1.0  # those partners' steps are masked below
+            curvature[:] = i2, eta, curved
+        _, eta, curved = curvature
         step = (f + b - y - e2) / eta
         # y2 is +/-1, so a2o + y2 * (x / eta) is a2o +/- x / eta bit for bit.
         a2 = np.minimum(np.maximum(a2o + step if y2 > 0 else a2o - step, lo), hi)

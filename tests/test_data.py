@@ -360,5 +360,11 @@ def test_samples_changed_after_construction_raise_invalid_input_error(call, rows
         call(ds)
 
 
+@pytest.mark.parametrize("samples", [None, 5, iter([])], ids=["None", "int", "iterator"])
+def test_samples_that_are_no_list_raise_invalid_input_error(samples):
+    with pytest.raises(InvalidInputError, match="a Dataset holds only SignalSample objects"):
+        Dataset(samples=samples)
+
+
 def test_labels_constant_matches_schema():
     assert LABELS == ("LOS", "NLOS", "LOS_NLOS")

@@ -83,6 +83,15 @@ class TestMakeReport:
         assert report.accuracy == report.confusion.trace() / report.n_total
         assert report.n_total == 40
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_report(["LOS"], ["LOS"], ["LOS", "LOS"]), "names a class twice"),
+        (lambda: confusion([[1]], [[1]], ["a"]), "unhashable type: 'list'"),
+        (lambda: confusion(["a"], ["a"], [["a"]]), "unhashable type: 'list'"),
+    ], ids=["repeated class", "unhashable label", "unhashable class"])
+    def test_unusable_class_list_or_labels_raise_invalid_labels_error(self, call, message):
+        with pytest.raises(InvalidLabelsError, match=message):
+            call()
+
 
 class TestBoundaryGrid:
     def test_constant_model_fills_one_label(self):

@@ -145,6 +145,24 @@ class TestSolveBinarySmo:
             achieved = dual_value(model.alpha, model.y, K)
             assert achieved == pytest.approx(brute_force_dual_max(K, y, C), abs=1e-3)
 
+    def test_read_only_inputs_accepted_and_left_unchanged(self):
+        # The solver works through views of its own state arrays; the
+        # caller's Gram and labels must stay read-only to it. This problem
+        # runs the vector step test on two stuck points.
+        rng = np.random.default_rng(44)
+        pts = rng.uniform(0, 1, size=(20, 2))
+        K = np.exp(-((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+        y = np.where(pts[:, 0] > 0.5, 1.0, -1.0)
+        y[:2] = 1.0, -1.0
+        expected = solve_binary_smo(K.copy(), y.copy(), SvmConfig())
+        K_bytes, y_bytes = K.tobytes(), y.tobytes()
+        K.setflags(write=False)
+        y.setflags(write=False)
+        model = solve_binary_smo(K, y, SvmConfig())
+        assert (K.tobytes(), y.tobytes()) == (K_bytes, y_bytes)
+        assert model.alpha.tobytes() == expected.alpha.tobytes()
+        assert repr(model.bias) == repr(expected.bias)
+
     def test_deterministic(self):
         rng = np.random.default_rng(24)
         pts = rng.uniform(0, 1, size=(20, 2))
@@ -496,9 +514,12 @@ def test_invalid_setting_raises_invalid_setting_error(call, message):
      r"labels must be a 1-D array, got shape \(\)"),
     (lambda: solve_binary_smo(np.eye(2), [[1.0], [-1.0]], SvmConfig()), DimensionError,
      r"labels must be a 1-D array, got shape \(2, 1\)"),
+    (lambda: solve_binary_smo(np.zeros((0, 0)), np.zeros(0), SvmConfig()), InvalidLabelsError,
+     r"training labels must hold both \+1 and -1"),
 ], ids=["SignalSample label", "train_ovo unhashable labels", "ScalerParams shapes",
         "boundary_grid width", "predict string", "apply_scaler string",
-        "solve_binary_smo scalar labels", "solve_binary_smo column labels"])
+        "solve_binary_smo scalar labels", "solve_binary_smo column labels",
+        "solve_binary_smo no labels"])
 def test_unusable_labels_or_shapes_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -896,16 +917,21 @@ def test_zero_curvature_pairs_match_plain_platt_scan(C):
 @example(kind="sampled", n=30, C=1.0, seed=10)
 @example(kind="rbf", n=10, C=10.0, seed=28)
 @example(kind="sampled", n=18, C=1.0, seed=57)
+@example(kind="sampled", n=12, C=0.3, seed=5)
 def test_smo_matches_plain_platt_scan_on_random_problems(kind, n, C, seed):
     # Random labels on random points leave many points on a bound, so full
     # scans run. Some fail: the point is then stuck, and its next examines
     # go through the step test until a step takes it off the stuck set. Each
-    # explicit example does all three, and in each the step test rejects a
-    # stuck point's heuristic partner. In the last two, a stuck point's free
-    # loop also skips a partner that the test rejects and then steps with a
-    # later one. All of this was counted with an instrumented copy of the
-    # solver. 8-shot sampled Grams are indefinite; duplicated points give
-    # zero curvature.
+    # explicit example does all three, and in the first five the step test
+    # rejects a stuck point's heuristic partner. In the fourth and fifth, a
+    # stuck point's free loop also skips a partner that the test rejects and
+    # then steps with a later one. The step test keeps the curvature row of
+    # the last point it tested; in the last example two stuck points
+    # alternate (points 10, 6, 10, 6, 6, 6), so the kept row is replaced and
+    # rebuilt, point 10 steps off the stuck set after its rebuilt test, and
+    # point 6's last two tests reuse the kept row. All of this was counted
+    # with an instrumented copy of the solver. 8-shot sampled Grams are
+    # indefinite; duplicated points give zero curvature.
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 1, size=(n, 2))
     if kind == "sampled":
