@@ -103,8 +103,9 @@ def fit_pipeline(config: ExperimentConfig) -> tuple[SvmModel, ScalerParams | Non
     """Load the training sources, fit the scaler on them (none with
     ``raw``) and train the one-vs-one model on the classes present, in
     label order. Returns (model, scaler or None)."""
-    if not config.train_sources:
-        raise InvalidSettingError("at least one training source is required")
+    if not config.train_sources or isinstance(config.train_sources, str):
+        raise InvalidSettingError(f"at least one training source is required, as a list; "
+                                  f"got {config.train_sources!r}")
     if config.model not in MODELS:
         raise InvalidSettingError(f"model must be one of {MODELS}, got {config.model!r}")
     if config.kernel not in KERNELS:
@@ -157,7 +158,7 @@ def run_experiment(config: ExperimentConfig):
     return report, artifacts
 
 
-def _add_data_options(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--train", nargs="+", required=True, metavar="SRC", dest="train_sources",
         help=f"training CSV path(s) or preset name(s) {PRESETS}; "
@@ -165,9 +166,6 @@ def _add_data_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int,
                         help="seed for synthetic presets and sampled kernels")
-
-
-def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=MODELS,
                         help="qsvm = fidelity quantum kernel, svm = RBF baseline")
     parser.add_argument("--kernel", choices=KERNELS, help="fidelity evaluation mode for qsvm")
@@ -265,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     # given leaves no attribute, so _config_from_args passes only the given.
     p = sub.add_parser("train", help="train a model and save it as JSON",
                        argument_default=argparse.SUPPRESS)
-    _add_data_options(p)
-    _add_model_options(p)
+    _add_pipeline_options(p)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=_cmd_train)
 
@@ -290,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="full train/test pipeline with artifacts",
                        argument_default=argparse.SUPPRESS)
-    _add_data_options(p)
-    _add_model_options(p)
+    _add_pipeline_options(p)
     p.add_argument("--test", required=True, metavar="SRC", dest="test_source",
                    help="test CSV path or preset name")
     p.add_argument("--grid-resolution", type=int,

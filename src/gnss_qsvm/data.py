@@ -29,16 +29,12 @@ CSV_HEADER = ["cn0_diff", "elevation_deg", "label"]
 _FEATURES = ("cn0_diff", "elevation")  # the columns of Dataset.features()
 _SAMPLES_ONLY = "a Dataset holds only SignalSample objects"
 
-T0_SHAPE = "T0_SHAPE"
-T1_SHAPE = "T1_SHAPE"
-T2_SHAPE = "T2_SHAPE"
-PRESETS = (T0_SHAPE, T1_SHAPE, T2_SHAPE)
-
 _PRESET_COUNTS = {
-    T0_SHAPE: {"LOS": 80, "NLOS": 40, "LOS_NLOS": 32},
-    T1_SHAPE: {"LOS": 23, "NLOS": 10, "LOS_NLOS": 8},
-    T2_SHAPE: {"LOS": 80, "NLOS": 10, "LOS_NLOS": 30},
+    "T0_SHAPE": {"LOS": 80, "NLOS": 40, "LOS_NLOS": 32},
+    "T1_SHAPE": {"LOS": 23, "NLOS": 10, "LOS_NLOS": 8},
+    "T2_SHAPE": {"LOS": 80, "NLOS": 10, "LOS_NLOS": 30},
 }
+PRESETS = tuple(_PRESET_COUNTS)
 
 _U64 = (1 << 64) - 1
 
@@ -188,6 +184,9 @@ def fit_scaler(train: Dataset, target_lo: float = 0.0, target_hi: float = 1.0) -
         raise InvalidInputError(f"a scaler is fitted on a Dataset, got {type(train).__name__}")
     if not train.samples:
         raise InvalidInputError("cannot fit a scaler on an empty dataset")
+    if not (_is_real(target_lo) and _is_real(target_hi)):
+        raise InvalidSettingError(f"scaler targets must be integers or floats, "
+                                  f"got {target_lo!r} and {target_hi!r}")
     X = train.features()
     return ScalerParams(X.min(axis=0), X.max(axis=0), float(target_lo), float(target_hi))
 
@@ -217,6 +216,19 @@ def _float_matrix(X) -> np.ndarray:
         raise InvalidInputError(str(exc)) from None
 
 
+def _check_matrix(X, name: str = "X", width: int | None = None) -> np.ndarray:
+    """The check of every feature matrix: X must be a non-empty, finite 2-D
+    matrix, ``width`` columns wide when that is given."""
+    X = _float_matrix(X)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {X.shape}")
+    if width is not None and X.shape[1] != width:
+        raise DimensionError(f"{name} has {X.shape[1]} feature(s), expected {width}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("feature values must be finite")
+    return X
+
+
 def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
     """The check of every integer setting: ``bool`` and non-integers are
     rejected, numpy integers accepted."""
@@ -225,14 +237,17 @@ def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
         raise InvalidSettingError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """The type test of every real setting: Python and numpy integers and
+    floats pass, ``bool``, ``np.longdouble`` and every other number type
+    (``Fraction``, ``Decimal``) fail, since the artifacts could not record them."""
+    return not isinstance(value, (bool, np.longdouble)) \
+        and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def _check_positive(value, name: str) -> None:
-    """The check of every positive real setting: Python and numpy integers and
-    floats are accepted, ``bool``, ``np.longdouble`` and every other number
-    type (``Fraction``, ``Decimal``) rejected, since the artifacts could not
-    record them; the value must be finite."""
-    if isinstance(value, (bool, np.longdouble)) \
-            or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not 0 < value < math.inf:
+    """The check of every positive real setting: ``_is_real``, positive and finite."""
+    if not _is_real(value) or not 0 < value < math.inf:
         raise InvalidSettingError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -259,7 +274,7 @@ def generate_synthetic(preset: str, seed: int = 0) -> Dataset:
         count = _PRESET_COUNTS[preset][label]
         mean, std, elo, ehi = _CLASS_DISTRIBUTIONS[label]
         cn0 = rng.normal(mean, std, size=count)
-        elevation = np.clip(rng.uniform(elo, ehi, size=count), 0.0, 90.0)
+        elevation = rng.uniform(elo, ehi, size=count)
         samples.extend(
             SignalSample(float(c), float(e), label) for c, e in zip(cn0, elevation)
         )

@@ -63,6 +63,7 @@ def make_report(predictions, truth, classes) -> EvalReport:
 
 def grid_centers(lo: float, hi: float, resolution: int) -> np.ndarray:
     """Centers of ``resolution`` uniform cells covering [lo, hi]."""
+    _check_int(resolution, "resolution", 1)
     step = (hi - lo) / resolution
     return lo + (np.arange(resolution) + 0.5) * step
 
@@ -79,7 +80,6 @@ def boundary_grid(model: SvmModel, scaler: ScalerParams | None, resolution: int)
             f"boundary grids need a 2-feature model, got "
             f"{model.training_features.shape[1]} feature(s)"
         )
-    _check_int(resolution, "resolution", 1)
     lo, hi = scaler.target_lo, scaler.target_hi
     centers = grid_centers(lo, hi, resolution)
     points = np.column_stack(

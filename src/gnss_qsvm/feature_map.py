@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_int
-from .errors import DimensionError, InvalidInputError, InvalidSettingError
+from .data import _check_int, _check_matrix
+from .errors import InvalidSettingError
 # The gate-by-gate reference in tests/gatesim.py takes the same conventions
 # from gnss_qsvm.sim, so its states can equal these bit for bit.
 from .sim import _SQRT1_2, MAX_QUBITS
@@ -59,13 +59,8 @@ def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
     multiplies a one-element complex row in its scalar loop, which rounds
     differently from the vector loop of any longer row, so a one-row call
     runs on the row doubled and keeps one."""
-    X = np.asarray(X, dtype=float)
     n = config.num_features
-    if X.ndim != 2 or X.shape[1] != n or len(X) == 0:
-        raise DimensionError(
-            f"expected an (m, {n}) feature matrix with m >= 1, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("feature values must be finite")
+    X = _check_matrix(X, width=n)
     m = len(X)
     if m == 1:
         X = np.repeat(X, 2, axis=0)

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .data import _check_int, _check_positive, _float_matrix, mask_seed
-from .errors import DegenerateDataError, DimensionError, InvalidInputError, InvalidSettingError
+from .data import _check_int, _check_matrix, _check_positive, mask_seed
+from .errors import DegenerateDataError, InvalidSettingError
 from .feature_map import FeatureMapConfig, statevectors
 
 FIDELITY_EXACT = "fidelity_exact"
@@ -173,21 +173,14 @@ def default_gamma(X) -> float:
 
 def check_features(X, cfg: KernelConfig | None = None, name: str = "X",
                    width: int | None = None) -> np.ndarray:
-    """The input check of every public matrix entry point: X must be a
-    non-empty, finite 2-D matrix. With ``cfg``, its width must match the
-    feature map (fidelity modes) and RBF needs a resolved gamma; ``width``
-    pins the width when no feature map does."""
-    X = _float_matrix(X)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {X.shape}")
+    """The input check of every public matrix entry point: ``data._check_matrix``,
+    with ``cfg`` also the feature map's width (fidelity modes) or a resolved gamma
+    (RBF); ``width`` pins the width when no feature map does."""
     if cfg is not None and cfg.mode != RBF:
         width = cfg.feature_map.num_features
-    if width is not None and X.shape[1] != width:
-        raise DimensionError(f"{name} has {X.shape[1]} feature(s), expected {width}")
+    X = _check_matrix(X, name, width)
     if cfg is not None and cfg.mode == RBF and cfg.gamma is None:
         raise InvalidSettingError("rbf mode requires gamma; resolve it via default_gamma")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("feature values must be finite")
     return X
 
 

@@ -296,9 +296,7 @@ def solve_binary_smo(
             if j != i1 and j != i2 and tries[j] and take_step(j, i2, e2):
                 return True
         # The full scan: the bound points only.
-        scan = ((j for j in range(n) if not 0.0 < alpha_l[j] < C) if ok is None
-                else (ok & ~free).nonzero()[0].tolist())
-        for j in scan:
+        for j in (~free if ok is None else ok & ~free).nonzero()[0].tolist():
             if take_step(j, i2, e2):
                 return True
         stuck.add(i2)
@@ -387,8 +385,9 @@ def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> Sv
         unknown = present - set(classes)
         if unknown:
             raise InvalidLabelsError(f"labels outside the class list: {sorted(unknown)}")
-    if len(classes) < 2:
-        raise InvalidLabelsError("training data must contain at least 2 classes")
+    if len(classes) < 2 or len(set(classes)) != len(classes):
+        raise InvalidLabelsError(
+            f"class list {classes} holds fewer than 2 classes or names a class twice")
 
     if kcfg.mode == RBF and kcfg.gamma is None:
         kcfg = replace(kcfg, gamma=default_gamma(X))
@@ -422,7 +421,7 @@ def _decisions(model: SvmModel, X) -> np.ndarray:
         # summed along itself for every batch size.
         return np.column_stack([(K.take(bm.training_indices, axis=1) * (bm.alpha * bm.y))
                                 .sum(axis=1) + bm.bias for bm in model.binary_models])
-    psi = statevectors(check_features(X, cfg, "X_test"), cfg.feature_map)
+    psi = statevectors(X, cfg.feature_map)
     m, dim = psi.shape
     # A doubled row keeps a one-row batch on gemm, as in kernels._block.
     if m == 1:

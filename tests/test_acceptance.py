@@ -50,6 +50,13 @@ GOLDEN_VERDICT = {
     1: (11, 20, 0.14961278438568115),
     2: (19, 62, 1.7730682926908968e-06),
 }
+# The paired verdict depends on the SVMs' C: C -> phase -> the same counts.
+# C = 1, the package default, is GOLDEN_VERDICT.
+VERDICT_BY_C = {
+    1.0: GOLDEN_VERDICT,
+    0.1: {1: (10, 42, 9.063271916964766e-06), 2: (25, 116, 3.2794244995779025e-15)},
+    10.0: {1: (10, 7, 0.629058837890625), 2: (19, 18, 1.0)},
+}
 # Upper end hi of the [0, hi] scaling range -> phase-1 test points exact QSVM
 # classifies right, pooled over VERDICT_SEEDS (410 points).
 GOLDEN_SCALING_RIGHT = {0.25: 358, 0.5: 362, 1.0: 360, 2.0: 349, math.pi: 278}
@@ -185,27 +192,30 @@ def _mcnemar_p(b: int, c: int) -> float:
     return float(min(1, 2 * tail))
 
 
-def _right(train, test, model, seed, scale_hi=1.0):
+def _right(train, test, model, seed, scale_hi=1.0, C=1.0):
     fitted, scaler = fit_pipeline(ExperimentConfig(train_sources=train, test_source=test,
-                                                   model=model, seed=seed, scale_hi=scale_hi))
+                                                   model=model, seed=seed, scale_hi=scale_hi,
+                                                   C=C))
     data = generate_synthetic(test, seed=seed)
     return np.array(predict(fitted, apply_scaler(scaler, data))) == data.labels()
 
 
-@pytest.mark.parametrize("phase", list(PHASES))
-def test_paired_verdict_qsvm_against_rbf(phase):
+@pytest.mark.parametrize("phase, C", [
+    pytest.param(phase, C, id=str(phase) if C == 1.0 else f"{phase}-C{C:g}")
+    for C in VERDICT_BY_C for phase in PHASES])
+def test_paired_verdict_qsvm_against_rbf(phase, C):
     # Exact QSVM and the RBF baseline on the same draws; a point right for
     # both or for neither says nothing about which classifier is better.
     train, test = PHASES[phase]
     qsvm_only = rbf_only = 0
     for seed in VERDICT_SEEDS:
-        qsvm, rbf = (_right(train, test, model, seed) for model in ("qsvm", "svm"))
+        qsvm, rbf = (_right(train, test, model, seed, C=C) for model in ("qsvm", "svm"))
         qsvm_only += int(np.sum(qsvm & ~rbf))
         rbf_only += int(np.sum(rbf & ~qsvm))
     p = _mcnemar_p(qsvm_only, rbf_only)
-    assert (qsvm_only, rbf_only, p) == GOLDEN_VERDICT[phase]
-    print(f"\nVERDICT phase {phase}: {qsvm_only} right only with QSVM, {rbf_only} only "
-          f"with RBF over {len(VERDICT_SEEDS)} draws, exact McNemar p {p:.2g}")
+    assert (qsvm_only, rbf_only, p) == VERDICT_BY_C[C][phase]
+    print(f"\nVERDICT phase {phase}, C = {C:g}: {qsvm_only} right only with QSVM, {rbf_only} "
+          f"only with RBF over {len(VERDICT_SEEDS)} draws, exact McNemar p {p:.2g}")
 
 
 def test_scaling_range_curve_phase_1():

@@ -11,6 +11,7 @@ import pytest
 
 from gnss_qsvm.cli import ExperimentConfig, build_parser, fit_pipeline, main, run_experiment
 from gnss_qsvm.data import apply_scaler, fit_scaler, generate_synthetic, load_csv
+from gnss_qsvm.errors import InvalidSettingError
 from gnss_qsvm.feature_map import FeatureMapConfig
 from gnss_qsvm.kernels import FIDELITY_EXACT, FIDELITY_SAMPLED, RBF, KernelConfig, gram_symmetric
 from gnss_qsvm.svm import SvmConfig, load_model, save_model, train_ovo
@@ -352,6 +353,23 @@ class TestRunExperimentApi:
             run_experiment(config)
         with pytest.raises(ValueError, match=field):
             fit_pipeline(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_string_of_training_sources_rejected(self, tmp_path):
+        # A string would be read one character at a time, as the source "T".
+        config = ExperimentConfig(train_sources="T0_SHAPE", test_source="T1_SHAPE",
+                                  outdir=str(tmp_path / "out"))
+        for call in (fit_pipeline, run_experiment):
+            with pytest.raises(InvalidSettingError, match="at least one training source"):
+                call(config)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["scale_lo", "scale_hi"])
+    def test_scaling_target_that_is_no_number_rejected(self, tmp_path, field):
+        config = ExperimentConfig(train_sources=["T1_SHAPE"], test_source="T1_SHAPE",
+                                  outdir=str(tmp_path / "out"), **{field: "0"})
+        with pytest.raises(InvalidSettingError, match="scaler targets must be"):
+            run_experiment(config)
         assert not (tmp_path / "out").exists()
 
     def test_non_integer_seed_rejected(self, tmp_path):

@@ -26,7 +26,8 @@ from gnss_qsvm.data import (
     load_csv,
     write_csv,
 )
-from gnss_qsvm.errors import CsvParseError, DegenerateDataError, DimensionError, InvalidInputError
+from gnss_qsvm.errors import (CsvParseError, DegenerateDataError, DimensionError, InvalidInputError,
+                              InvalidSettingError)
 from gnss_qsvm.evaluate import (boundary_grid, make_report, save_confusion_csv, save_grid_csv,
                                 save_report)
 from gnss_qsvm.kernels import RBF, KernelConfig
@@ -285,6 +286,19 @@ class TestScaler:
         ds = make_dataset([(0.0, 10.0, "LOS"), (10.0, 50.0, "NLOS")])
         with pytest.raises(ValueError, match="target_hi must exceed target_lo"):
             fit_scaler(ds, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [("a", 1.0), (0.0, "1"), (False, 1.0), (0.0, True),
+                                        (0.0, Fraction(1, 2)), (np.longdouble(0.0), 1.0)],
+                             ids=["str lo", "str hi", "bool lo", "bool hi", "Fraction", "longdouble"])
+    def test_target_that_is_no_int_or_float_rejected(self, lo, hi):
+        ds = make_dataset([(0.0, 10.0, "LOS"), (10.0, 50.0, "NLOS")])
+        with pytest.raises(InvalidSettingError, match="scaler targets must be"):
+            fit_scaler(ds, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (np.float32(0.0), np.int64(2))])
+    def test_numpy_and_integer_targets_accepted(self, lo, hi):
+        params = fit_scaler(make_dataset([(0.0, 10.0, "LOS"), (10.0, 50.0, "NLOS")]), lo, hi)
+        assert (params.target_lo, params.target_hi) == (float(lo), float(hi))
 
     @pytest.mark.parametrize("data_min, data_max", [
         ([0.0, math.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.inf]), ([2.0, 0.0], [1.0, 1.0])])

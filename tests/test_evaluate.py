@@ -10,7 +10,7 @@ from gnss_qsvm.evaluate import (
     save_grid_csv,
     save_report,
 )
-from gnss_qsvm.errors import InvalidLabelsError
+from gnss_qsvm.errors import InvalidLabelsError, InvalidSettingError
 from gnss_qsvm.kernels import FIDELITY_EXACT, RBF, KernelConfig
 from gnss_qsvm.svm import BinaryModel, SvmConfig, SvmModel, train_ovo
 
@@ -107,6 +107,11 @@ class TestBoundaryGrid:
     def test_cells_are_cell_centers(self):
         centers = grid_centers(0.0, 1.0, 4)
         assert centers.tolist() == [0.125, 0.375, 0.625, 0.875]
+
+    @pytest.mark.parametrize("resolution", [0, -1, 2.0, True])
+    def test_centers_need_a_resolution_of_at_least_1(self, resolution):
+        with pytest.raises(InvalidSettingError, match="resolution must be an integer"):
+            grid_centers(0.0, 1.0, resolution)
 
     def test_grid_deterministic_and_covers_classes(self):
         ds = generate_synthetic("T1_SHAPE", seed=0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnss_qsvm.errors import DimensionError
+from gnss_qsvm.errors import DimensionError, InvalidInputError
 from gnss_qsvm.feature_map import FeatureMapConfig, statevectors
 from gnss_qsvm.evaluate import grid_centers
 from gnss_qsvm.sim import MAX_QUBITS
@@ -242,6 +242,10 @@ class TestStatevectors:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             statevectors([[0.1, math.nan]], FM2)
+
+    def test_entry_that_is_no_number_rejected(self):
+        with pytest.raises(InvalidInputError, match="could not convert string to float"):
+            statevectors([["a", "b"]], FM2)
 
 
 def _basis(index: int) -> QuantumState:

@@ -230,6 +230,13 @@ class TestTrainOvo:
         with pytest.raises(InvalidLabelsError):
             train_ovo(TOY_X, ["A", "A", "A", "A"], SvmConfig(), RBF_CFG)
 
+    def test_class_list_naming_a_class_twice_rejected(self, monkeypatch):
+        # Refused before any Gram work, not inside the (A, A) pair's SMO.
+        monkeypatch.setattr("gnss_qsvm.svm.gram_symmetric", lambda *args: pytest.fail("Gram"))
+        with pytest.raises(InvalidLabelsError, match="names a class twice"):
+            train_ovo([[0, 0], [1, 1]], ["A", "B"], SvmConfig(),
+                      KernelConfig(FIDELITY_EXACT), classes=["A", "B", "A"])
+
     def test_labels_outside_the_class_list_rejected(self):
         with pytest.raises(InvalidLabelsError, match=r"outside the class list: \['B'\]"):
             train_ovo(TOY_X, ["A", "A", "B", "C"], SvmConfig(), RBF_CFG, classes=["A", "C"])
