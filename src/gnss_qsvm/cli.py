@@ -25,6 +25,7 @@ from .data import (
     load_csv,
     write_csv,
     _check_int,
+    _check_targets,
 )
 from .errors import InvalidSettingError
 from .evaluate import (
@@ -111,6 +112,8 @@ def fit_pipeline(config: ExperimentConfig) -> tuple[SvmModel, ScalerParams | Non
     if config.kernel not in KERNELS:
         raise InvalidSettingError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
     _check_int(config.seed, "seed")
+    if config.raw:  # no scaler checks the targets the report echoes
+        _check_targets(config.scale_lo, config.scale_hi)
 
     train = _load_many(config.train_sources, config.seed)
     scaler = None if config.raw else fit_scaler(train, config.scale_lo, config.scale_hi)

@@ -101,9 +101,8 @@ class ScalerParams:
     target_hi: float = 1.0
 
     def __post_init__(self):
-        if not -math.inf < self.target_lo < self.target_hi < math.inf:
-            raise InvalidSettingError(f"target_hi must exceed target_lo, both finite, "
-                                      f"got [{self.target_lo}, {self.target_hi}]")
+        self.target_lo, self.target_hi = _check_targets(self.target_lo, self.target_hi)
+        self.data_min, self.data_max = _float_matrix(self.data_min), _float_matrix(self.data_max)
         if not self.data_min.shape == self.data_max.shape == (len(_FEATURES),):
             raise DimensionError(f"data_min and data_max must hold {len(_FEATURES)} values, "
                                  f"got shapes {self.data_min.shape} and {self.data_max.shape}")
@@ -184,11 +183,8 @@ def fit_scaler(train: Dataset, target_lo: float = 0.0, target_hi: float = 1.0) -
         raise InvalidInputError(f"a scaler is fitted on a Dataset, got {type(train).__name__}")
     if not train.samples:
         raise InvalidInputError("cannot fit a scaler on an empty dataset")
-    if not (_is_real(target_lo) and _is_real(target_hi)):
-        raise InvalidSettingError(f"scaler targets must be integers or floats, "
-                                  f"got {target_lo!r} and {target_hi!r}")
     X = train.features()
-    return ScalerParams(X.min(axis=0), X.max(axis=0), float(target_lo), float(target_hi))
+    return ScalerParams(X.min(axis=0), X.max(axis=0), target_lo, target_hi)
 
 
 def apply_scaler(params: ScalerParams, data) -> np.ndarray:
@@ -243,6 +239,16 @@ def _is_real(value) -> bool:
     (``Fraction``, ``Decimal``) fail, since the artifacts could not record them."""
     return not isinstance(value, (bool, np.longdouble)) \
         and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _check_targets(lo, hi) -> tuple[float, float]:
+    """The rule of every scaling target interval, returned as floats."""
+    if not (_is_real(lo) and _is_real(hi)):
+        raise InvalidSettingError(
+            f"scaler targets must be integers or floats, got {lo!r} and {hi!r}")
+    if not -math.inf < float(lo) < float(hi) < math.inf:
+        raise InvalidSettingError(f"target_hi must exceed target_lo, both finite, got [{lo}, {hi}]")
+    return float(lo), float(hi)
 
 
 def _check_positive(value, name: str) -> None:

@@ -19,21 +19,21 @@ class CsvParseError(ValueError):
 
 
 class InvalidLabelsError(ValueError):
-    """Label set is unusable for training (no labels, one class, unknown, missing or
-    unhashable labels), a sample's label is not a reception label, a model's binary
-    models are not the one-vs-one pairs of its classes, a label being scored is
-    unhashable or outside the class list, or a training or scored class list names
-    a class twice."""
+    """Label set is unusable for training (no labels, one class; unknown, missing,
+    unhashable or unsortable labels or classes), a sample's label is not a reception
+    label, a model's binary models are not the one-vs-one pairs of its classes, a
+    label being scored is unhashable or outside the class list, or a training or
+    scored class list names a class twice."""
 
 
 class InvalidSettingError(ValueError):
     """A setting is of the wrong type (a string for the training sources; a real
-    setting, scaler targets included, must be a Python or numpy integer or float,
-    not a ``bool``, ``np.longdouble``, ``Fraction`` or ``Decimal``), out of range
-    (a scaler's target interval, a grid resolution below 1), not one of its
-    allowed names (kernel mode, entanglement, preset, model, kernel), missing
-    (training source, RBF gamma), or in conflict with another (a boundary grid
-    on raw features)."""
+    setting, scaler targets included even for raw features, must be a Python or
+    numpy integer or float, not a ``bool``, ``np.longdouble``, ``Fraction`` or
+    ``Decimal``), out of range (a scaler's target interval, a grid resolution
+    below 1), not one of its allowed names (kernel mode, entanglement, preset,
+    model, kernel), missing (training source, RBF gamma), or in conflict with
+    another (a boundary grid on raw features)."""
 
 
 class InvalidInputError(ValueError):

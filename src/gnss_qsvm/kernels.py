@@ -164,22 +164,17 @@ def default_gamma(X) -> float:
 
     Mirrors the untuned "scale" default of common SVM toolkits.
     """
-    X = check_features(X)
+    X = _check_matrix(X)
     var = float(X.var())
     if var <= 0.0:
         raise DegenerateDataError("feature matrix is constant; gamma undefined")
     return 1.0 / (X.shape[1] * var)
 
 
-def check_features(X, cfg: KernelConfig | None = None, name: str = "X",
-                   width: int | None = None) -> np.ndarray:
-    """The input check of every public matrix entry point: ``data._check_matrix``,
-    with ``cfg`` also the feature map's width (fidelity modes) or a resolved gamma
-    (RBF); ``width`` pins the width when no feature map does."""
-    if cfg is not None and cfg.mode != RBF:
-        width = cfg.feature_map.num_features
-    X = _check_matrix(X, name, width)
-    if cfg is not None and cfg.mode == RBF and cfg.gamma is None:
+def _check_features(X, cfg: KernelConfig, name: str = "X") -> np.ndarray:
+    """``data._check_matrix`` plus the feature map's width or RBF's resolved gamma."""
+    X = _check_matrix(X, name, None if cfg.mode == RBF else cfg.feature_map.num_features)
+    if cfg.mode == RBF and cfg.gamma is None:
         raise InvalidSettingError("rbf mode requires gamma; resolve it via default_gamma")
     return X
 
@@ -220,7 +215,7 @@ def gram_symmetric(X, cfg: KernelConfig) -> KernelMatrix:
     """Training Gram matrix: upper triangle computed once per unordered
     pair, mirrored to the lower triangle, diagonal pinned to exactly 1.0
     (no shots spent on it)."""
-    X = check_features(X, cfg)
+    X = _check_features(X, cfg)
     K = np.triu(_block(X, X, cfg, upper=True), k=1)
     K = K + K.T
     np.fill_diagonal(K, 1.0)
@@ -229,8 +224,8 @@ def gram_symmetric(X, cfg: KernelConfig) -> KernelMatrix:
 
 def gram_rectangular(X_test, X_train, cfg: KernelConfig) -> KernelMatrix:
     """Prediction-time block: values[i][j] = k(X_test[i], X_train[j])."""
-    X_train = check_features(X_train, cfg, "X_train")
-    X_test = check_features(X_test, cfg, "X_test", width=X_train.shape[1])
+    X_train = _check_features(X_train, cfg, "X_train")
+    X_test = _check_matrix(X_test, "X_test", X_train.shape[1])
     K = _block(X_test, X_train, cfg)
     return KernelMatrix(rows=K.shape[0], cols=K.shape[1], values=K, symmetric=False)
 

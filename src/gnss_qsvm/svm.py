@@ -60,7 +60,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .data import ScalerParams, _check_int, _check_positive, _float_matrix, _write_artifact
+from .data import (ScalerParams, _check_int, _check_matrix, _check_positive, _float_matrix,
+                   _write_artifact)
 from .errors import (ConvergenceWarning, DimensionError, InvalidInputError, InvalidLabelsError,
                      ModelFormatError)
 from .feature_map import FeatureMapConfig, statevectors
@@ -68,7 +69,7 @@ from .kernels import (
     FIDELITY_EXACT,
     RBF,
     KernelConfig,
-    check_features,
+    _check_features,
     default_gamma,
     gram_rectangular,
     gram_symmetric,
@@ -365,7 +366,7 @@ def _final_bias(alpha: np.ndarray, y: np.ndarray, f: np.ndarray, C: float) -> fl
 def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> SvmModel:
     """Train one binary model per unordered class pair on the pair's
     sub-block of the full training Gram matrix."""
-    X = check_features(X)
+    X = _check_matrix(X)
     labels = list(labels)
     if len(labels) != X.shape[0]:
         raise DimensionError(
@@ -373,18 +374,15 @@ def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> Sv
         )
     try:
         present = set(labels)
-    except TypeError as exc:  # an unhashable label
-        raise InvalidLabelsError(str(exc)) from None
-    if classes is None:
-        classes = sorted(present)
-    else:
-        classes = list(classes)
+        classes = sorted(present) if classes is None else list(classes)
         missing = [c for c in classes if c not in present]
-        if missing:
-            raise InvalidLabelsError(f"classes missing from training data: {missing}")
-        unknown = present - set(classes)
-        if unknown:
-            raise InvalidLabelsError(f"labels outside the class list: {sorted(unknown)}")
+        unknown = sorted(present - set(classes))
+    except TypeError as exc:  # a label or class that cannot be hashed or sorted
+        raise InvalidLabelsError(str(exc)) from None
+    if missing:
+        raise InvalidLabelsError(f"classes missing from training data: {missing}")
+    if unknown:
+        raise InvalidLabelsError(f"labels outside the class list: {unknown}")
     if len(classes) < 2 or len(set(classes)) != len(classes):
         raise InvalidLabelsError(
             f"class list {classes} holds fewer than 2 classes or names a class twice")
@@ -561,18 +559,16 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
             for bm in models
         ],
         kernel=lambda section: _from_section(
-            KernelConfig, section, "kernel section", shots=_json_numbers,
-            gamma=lambda v: v if v is None else _json_numbers(v),
+            KernelConfig, section, "kernel section",
             feature_map=lambda fm: _from_section(FeatureMapConfig, fm, "kernel section")),
-        training_features=lambda v: check_features(_json_numbers(v), name="training_features"),
+        training_features=lambda v: _check_matrix(_json_numbers(v), "training_features"),
         scaler=lambda section: None if section is None else _from_section(
-            ScalerParams, section, "scaler section", data_min=_floats, data_max=_floats,
-            target_lo=_json_number, target_hi=_json_number),
+            ScalerParams, section, "scaler section", data_min=_floats, data_max=_floats),
     )
     for bm in doc.binary_models:
         _check_binary_model(bm, len(doc.training_features))
     try:
-        check_features(doc.training_features, doc.kernel, "training_features")
+        _check_features(doc.training_features, doc.kernel, "training_features")
     except ValueError as exc:  # DimensionError too
         raise ModelFormatError(f"kernel section does not fit the training features: {exc}") \
             from exc

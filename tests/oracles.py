@@ -103,6 +103,19 @@ def shot_estimate(seed: int, shots: int, p: float) -> float:
     return int(np.random.default_rng(seed).binomial(shots, p)) / shots
 
 
+def shot_noise_edge(K_exact, shots: int) -> float:
+    """Spectral edge of the shot noise in a sampled Gram whose off-diagonal
+    entries are independent binomial fractions of ``shots`` runs with means
+    ``K_exact``: 2 sqrt(mean over i of sum_{j != i} p_ij (1 - p_ij) / shots),
+    the semicircle scale that bounds the noise matrix's norm (Bandeira & van
+    Handel, Ann. Probab. 2016). A low-rank exact Gram leaves the sampled
+    Gram's most negative eigenvalue near minus this edge."""
+    P = np.array(K_exact, dtype=float)
+    var = P * (1.0 - P) / shots
+    np.fill_diagonal(var, 0.0)
+    return 2.0 * math.sqrt(var.sum(axis=1).mean())
+
+
 def dual_value(alpha, y, K) -> float:
     coef = alpha * y
     return float(alpha.sum() - 0.5 * coef @ K @ coef)

@@ -364,10 +364,13 @@ class TestRunExperimentApi:
                 call(config)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field", ["scale_lo", "scale_hi"])
-    def test_scaling_target_that_is_no_number_rejected(self, tmp_path, field):
+    # With raw features no scaler is fitted, yet report.json would echo the targets.
+    @pytest.mark.parametrize("field, raw", [("scale_lo", False), ("scale_hi", False),
+                                            ("scale_lo", True), ("scale_hi", True)],
+                             ids=["scale_lo", "scale_hi", "scale_lo-raw", "scale_hi-raw"])
+    def test_scaling_target_that_is_no_number_rejected(self, tmp_path, field, raw):
         config = ExperimentConfig(train_sources=["T1_SHAPE"], test_source="T1_SHAPE",
-                                  outdir=str(tmp_path / "out"), **{field: "0"})
+                                  outdir=str(tmp_path / "out"), raw=raw, **{field: "0"})
         with pytest.raises(InvalidSettingError, match="scaler targets must be"):
             run_experiment(config)
         assert not (tmp_path / "out").exists()

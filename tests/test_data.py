@@ -31,7 +31,7 @@ from gnss_qsvm.errors import (CsvParseError, DegenerateDataError, DimensionError
 from gnss_qsvm.evaluate import (boundary_grid, make_report, save_confusion_csv, save_grid_csv,
                                 save_report)
 from gnss_qsvm.kernels import RBF, KernelConfig
-from gnss_qsvm.svm import SvmConfig, save_model, train_ovo
+from gnss_qsvm.svm import SvmConfig, load_model, save_model, train_ovo
 
 
 def make_dataset(rows):
@@ -309,6 +309,26 @@ class TestScaler:
     def test_params_of_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="must hold 2 values"):
             ScalerParams(np.zeros(3), np.ones(3))
+
+    # Built directly, as a caller of the public type may: the saved model.json
+    # records the targets, and its loader refuses what is no int or float.
+    @pytest.mark.parametrize("lo, hi", [(False, True), (np.longdouble(0.0), np.longdouble(1.0)),
+                                        ("0", 1.0)], ids=["bool", "longdouble", "str"])
+    def test_params_with_targets_that_are_no_int_or_float_rejected(self, lo, hi):
+        with pytest.raises(InvalidSettingError, match="scaler targets must be"):
+            ScalerParams(np.zeros(2), np.ones(2), lo, hi)
+
+    def test_params_take_list_bounds_as_floats_and_reload(self, tmp_path):
+        params = ScalerParams([0, 10], [1.0, 50.0], 0, 1)
+        assert params.data_min.dtype == params.data_max.dtype == np.float64
+        assert (params.target_lo, params.target_hi) == (0.0, 1.0)
+        model = train_ovo([[0.1, 0.2], [0.8, 0.9]], ["LOS", "NLOS"], SvmConfig(),
+                          KernelConfig(mode=RBF, gamma=1.0))
+        save_model(model, tmp_path / "model.json", params)
+        _, loaded = load_model(tmp_path / "model.json")
+        assert loaded.data_min.tolist() == [0.0, 10.0]
+        assert loaded.data_max.tolist() == [1.0, 50.0]
+        assert (loaded.target_lo, loaded.target_hi) == (0.0, 1.0)
 
 
 class TestGenerateSynthetic:

@@ -28,6 +28,7 @@ from oracles import (
     rbf_value,
     second_order_map_unitary,
     shot_estimate,
+    shot_noise_edge,
 )
 
 EXACT = KernelConfig(FIDELITY_EXACT)
@@ -460,6 +461,20 @@ def test_sampled_gram_matches_golden_bytes(scaled_t0, shots, seed):
         pytest.skip("exact Gram bytes differ from those the digests were recorded on")
     sampled = gram_symmetric(scaled_t0, KernelConfig(FIDELITY_SAMPLED, shots=shots, seed=seed))
     assert hashlib.sha256(sampled.values.tobytes()).hexdigest() == GOLDEN_SAMPLED_T0[shots, seed]
+
+
+@pytest.mark.parametrize("shots", [8, 32, 128, 1000])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_gram_spectrum_reaches_shot_noise_edge(seed, shots):
+    # The exact 2-qubit Gram has rank 16, so the sampled Gram's negative
+    # spectrum is that of its shot noise, whose edge the oracle predicts from
+    # the exact overlaps alone. Entries that share a seed, or whose streams
+    # are correlated, move -lambda_min well outside this band.
+    t0 = generate_synthetic("T0_SHAPE", seed=seed)
+    X = apply_scaler(fit_scaler(t0), t0)
+    edge = shot_noise_edge(gram_symmetric(X, EXACT).values, shots)
+    sampled = gram_symmetric(X, _sampled(shots, seed)).values
+    assert 0.9 <= -np.linalg.eigvalsh(sampled)[0] / edge <= 1.1
 
 
 @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0])

@@ -505,6 +505,12 @@ def test_invalid_setting_raises_invalid_setting_error(call, message):
     (lambda: SignalSample(1.0, 10.0, "X"), InvalidLabelsError, "unknown label 'X'"),
     (lambda: train_ovo(TOY_X, [["A"], ["A"], ["B"], ["B"]], SvmConfig(), RBF_CFG),
      InvalidLabelsError, "unhashable type: 'list'"),
+    (lambda: train_ovo([[0.1, 0.2], [0.8, 0.9]], [1, "a"], SvmConfig(),
+                       KernelConfig(FIDELITY_EXACT)),
+     InvalidLabelsError, "'<' not supported between instances of"),
+    (lambda: train_ovo([[0.1, 0.2], [0.8, 0.9]], ["A", "B"], SvmConfig(),
+                       KernelConfig(FIDELITY_EXACT), classes=[["A"], "B"]),
+     InvalidLabelsError, "unhashable type: 'list'"),
     (lambda: ScalerParams(np.zeros(3), np.ones(3)), DimensionError,
      "data_min and data_max must hold 2 values"),
     (lambda: boundary_grid(train_ovo(np.column_stack([TOY_X, TOY_X[:, 0]]), TOY_LABELS,
@@ -523,7 +529,8 @@ def test_invalid_setting_raises_invalid_setting_error(call, message):
      r"labels must be a 1-D array, got shape \(2, 1\)"),
     (lambda: solve_binary_smo(np.zeros((0, 0)), np.zeros(0), SvmConfig()), InvalidLabelsError,
      r"training labels must hold both \+1 and -1"),
-], ids=["SignalSample label", "train_ovo unhashable labels", "ScalerParams shapes",
+], ids=["SignalSample label", "train_ovo unhashable labels", "train_ovo unsortable labels",
+        "train_ovo unhashable class", "ScalerParams shapes",
         "boundary_grid width", "predict string", "apply_scaler string",
         "solve_binary_smo scalar labels", "solve_binary_smo column labels",
         "solve_binary_smo no labels"])
