@@ -111,9 +111,11 @@ def fit_pipeline(config: ExperimentConfig) -> tuple[SvmModel, ScalerParams | Non
         raise InvalidSettingError(f"model must be one of {MODELS}, got {config.model!r}")
     if config.kernel not in KERNELS:
         raise InvalidSettingError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
-    _check_int(config.seed, "seed")
-    if config.raw:  # no scaler checks the targets the report echoes
-        _check_targets(config.scale_lo, config.scale_hi)
+    if not isinstance(config.raw, bool):
+        raise InvalidSettingError(f"raw must be True or False, got {config.raw!r}")
+    # The report echoes these also where nothing else checks them; an RBF kernel takes 0 shots.
+    _check_targets(config.scale_lo, config.scale_hi)
+    KernelConfig(RBF, shots=config.shots, seed=config.seed, gamma=config.gamma)
 
     train = _load_many(config.train_sources, config.seed)
     scaler = None if config.raw else fit_scaler(train, config.scale_lo, config.scale_hi)

@@ -15,6 +15,7 @@ import csv
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,11 +235,12 @@ def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
 
 
 def _is_real(value) -> bool:
-    """The type test of every real setting: Python and numpy integers and
-    floats pass, ``bool``, ``np.longdouble`` and every other number type
-    (``Fraction``, ``Decimal``) fail, since the artifacts could not record them."""
+    """The type test of every real setting: Python and numpy integers and floats
+    pass; ``bool``, ``np.longdouble``, ints beyond float range and every other number
+    type (``Fraction``, ``Decimal``) fail, since the artifacts could not record them."""
     return not isinstance(value, (bool, np.longdouble)) \
-        and isinstance(value, (int, float, np.integer, np.floating))
+        and isinstance(value, (int, float, np.integer, np.floating)) \
+        and not (isinstance(value, int) and abs(value) > sys.float_info.max)
 
 
 def _check_targets(lo, hi) -> tuple[float, float]:

@@ -6,8 +6,8 @@ system (a missing file, a directory given as a file) stay ``OSError``."""
 
 
 class DimensionError(ValueError):
-    """Operands have incompatible shapes, lengths, or qubit counts, or scaler
-    bounds do not hold one value per feature."""
+    """Operands have incompatible shapes, lengths or qubit counts: scaler bounds and
+    features, say, or a binary model's alpha, y and training indices."""
 
 
 class DegenerateDataError(ValueError):
@@ -27,20 +27,20 @@ class InvalidLabelsError(ValueError):
 
 
 class InvalidSettingError(ValueError):
-    """A setting is of the wrong type (a string for the training sources; a real
-    setting, scaler targets included even for raw features, must be a Python or
-    numpy integer or float, not a ``bool``, ``np.longdouble``, ``Fraction`` or
-    ``Decimal``), out of range (a scaler's target interval, a grid resolution
-    below 1), not one of its allowed names (kernel mode, entanglement, preset,
-    model, kernel), missing (training source, RBF gamma), or in conflict with
-    another (a boundary grid on raw features)."""
+    """A setting is of the wrong type (a string for the training sources, a non-bool
+    experiment ``raw``; a real setting, scaler targets and an experiment's gamma included
+    whatever the model, must be a Python or numpy integer or float, not a ``bool``,
+    ``np.longdouble``, ``Fraction``, ``Decimal`` or int beyond float range), out of range
+    (a scaler's target interval, a grid resolution below 1, shots), not one of its allowed
+    names (kernel mode, entanglement, preset, model, kernel), missing (training source, RBF
+    gamma), or in conflict with another (a boundary grid on raw features)."""
 
 
 class InvalidInputError(ValueError):
-    """Input data is unusable: a feature, C/N0 value, elevation or Gram entry that is
-    no finite number, an SMO label that is no number, an elevation outside [0, 90]
-    degrees, an asymmetric Gram, a Dataset of non-samples, anything but a non-empty
-    Dataset to scale, empty data to score, or unequal label counts."""
+    """Input data is unusable: a feature, C/N0, elevation, Gram entry, alpha or bias that is no
+    finite number, an SMO label that is no number, a negative alpha, a model's y not +-1 or index
+    off its features, an elevation outside [0, 90], an asymmetric Gram, a Dataset of non-samples,
+    anything but a non-empty Dataset to scale, empty data to score, or unequal label counts."""
 
 
 class ModelFormatError(ValueError):

@@ -30,7 +30,7 @@ with it the model, is the same bit for bit.
 
 Multiclass uses one-vs-one voting: an ``SvmModel`` holds binary model k for
 pair k of ``itertools.combinations(classes, 2)``, over at least two distinct
-classes, and checks that layout when it is built.
+classes, and checks that layout, its training features and each binary model.
 
 With the exact fidelity kernel a binary model is a measured observable
 (Schuld 2021, arXiv:2101.11020): its decision value on a state psi(x) is
@@ -120,6 +120,10 @@ class SvmModel:
             raise InvalidLabelsError(
                 f"binary models {[bm.label_pair for bm in self.binary_models]} are not the "
                 f"one-vs-one pairs of at least two distinct classes {self.classes}")
+        self.training_features = _check_features(self.training_features, self.kernel_config,
+                                                 "training_features")
+        for bm in self.binary_models:
+            _check_binary_model(bm, len(self.training_features))
         if self.kernel_config.mode == FIDELITY_EXACT:
             self.observables = _observables(self)
 
@@ -530,19 +534,17 @@ def _from_section(cls, section, what: str, **convert):
 
 
 def _check_binary_model(bm: BinaryModel, n_train: int) -> None:
-    pair = f"binary model {bm.label_pair!r}"
-    if bm.alpha.ndim != 1 or not bm.alpha.shape == bm.y.shape == bm.training_indices.shape:
-        raise ModelFormatError(
-            f"{pair}: alpha, y and training_indices differ in shape: "
-            f"{bm.alpha.shape}, {bm.y.shape}, {bm.training_indices.shape}"
-        )
-    if not (np.all((bm.alpha >= 0) & np.isfinite(bm.alpha)) and math.isfinite(bm.bias)):
-        raise ModelFormatError(f"{pair}: alpha must be finite and non-negative, bias finite")
-    if not np.all(np.isin(bm.y, (-1.0, 1.0))):
-        raise ModelFormatError(f"{pair}: y must hold only +1 and -1")
-    idx = bm.training_indices
+    pair, alpha, idx = f"binary model {bm.label_pair!r}", bm.alpha, bm.training_indices
+    if alpha.ndim != 1 or not alpha.shape == bm.y.shape == idx.shape:
+        raise DimensionError(f"{pair}: alpha, y and training_indices differ in shape: "
+                             f"{alpha.shape}, {bm.y.shape}, {idx.shape}")
+    if alpha.size and not (alpha.min() >= 0 and math.isfinite(alpha.max())) \
+            or not math.isfinite(bm.bias):  # NaN fails min() >= 0, +-inf one of the two
+        raise InvalidInputError(f"{pair}: alpha must be finite and non-negative, bias finite")
+    if not (np.abs(bm.y) == 1.0).all():
+        raise InvalidInputError(f"{pair}: y must hold only +1 and -1")
     if idx.dtype.kind != "i" or idx.size and (idx.min() < 0 or idx.max() >= n_train):
-        raise ModelFormatError(f"{pair}: training indices must be integers in [0, {n_train})")
+        raise InvalidInputError(f"{pair}: training indices must be integers in [0, {n_train})")
 
 
 def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
@@ -561,21 +563,15 @@ def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
         kernel=lambda section: _from_section(
             KernelConfig, section, "kernel section",
             feature_map=lambda fm: _from_section(FeatureMapConfig, fm, "kernel section")),
-        training_features=lambda v: _check_matrix(_json_numbers(v), "training_features"),
+        training_features=_json_numbers,
         scaler=lambda section: None if section is None else _from_section(
             ScalerParams, section, "scaler section", data_min=_floats, data_max=_floats),
     )
-    for bm in doc.binary_models:
-        _check_binary_model(bm, len(doc.training_features))
-    try:
-        _check_features(doc.training_features, doc.kernel, "training_features")
-    except ValueError as exc:  # DimensionError too
-        raise ModelFormatError(f"kernel section does not fit the training features: {exc}") \
-            from exc
     try:
         model = SvmModel(doc.classes, doc.binary_models, doc.kernel, doc.training_features)
-    except (InvalidLabelsError, TypeError) as exc:  # TypeError: an unhashable class
-        raise ModelFormatError(f"invalid model document: {exc}") from exc
+    except (ValueError, TypeError) as exc:  # TypeError: an unhashable class
+        raise ModelFormatError(
+            f"model is inconsistent or does not fit the training features: {exc}") from exc
     return model, doc.scaler
 
 

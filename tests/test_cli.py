@@ -343,7 +343,9 @@ class TestRunExperimentApi:
         with pytest.raises(ValueError):
             run_experiment(config)
 
-    @pytest.mark.parametrize("field,value", [("model", "SVM"), ("kernel", "exakt")])
+    # The report echoes gamma and raw too, also where no kernel or scaler uses them.
+    @pytest.mark.parametrize("field,value", [("model", "SVM"), ("kernel", "exakt"),
+                                             ("gamma", "abc"), ("raw", "yes")])
     def test_unknown_model_or_kernel_rejected(self, tmp_path, field, value):
         config = ExperimentConfig(
             train_sources=["T1_SHAPE"], test_source="T1_SHAPE",

@@ -288,8 +288,10 @@ class TestScaler:
             fit_scaler(ds, lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [("a", 1.0), (0.0, "1"), (False, 1.0), (0.0, True),
-                                        (0.0, Fraction(1, 2)), (np.longdouble(0.0), 1.0)],
-                             ids=["str lo", "str hi", "bool lo", "bool hi", "Fraction", "longdouble"])
+                                        (0.0, Fraction(1, 2)), (np.longdouble(0.0), 1.0),
+                                        (-10**400, 1.0)],
+                             ids=["str lo", "str hi", "bool lo", "bool hi", "Fraction", "longdouble",
+                                  "int beyond float range"])
     def test_target_that_is_no_int_or_float_rejected(self, lo, hi):
         ds = make_dataset([(0.0, 10.0, "LOS"), (10.0, 50.0, "NLOS")])
         with pytest.raises(InvalidSettingError, match="scaler targets must be"):
@@ -313,7 +315,8 @@ class TestScaler:
     # Built directly, as a caller of the public type may: the saved model.json
     # records the targets, and its loader refuses what is no int or float.
     @pytest.mark.parametrize("lo, hi", [(False, True), (np.longdouble(0.0), np.longdouble(1.0)),
-                                        ("0", 1.0)], ids=["bool", "longdouble", "str"])
+                                        ("0", 1.0), (0, 10**400)],
+                             ids=["bool", "longdouble", "str", "int beyond float range"])
     def test_params_with_targets_that_are_no_int_or_float_rejected(self, lo, hi):
         with pytest.raises(InvalidSettingError, match="scaler targets must be"):
             ScalerParams(np.zeros(2), np.ones(2), lo, hi)

@@ -424,6 +424,13 @@ def test_non_finite_features_rejected(mode, bad):
 _NAN_X = [[0.5, np.nan]]
 
 
+def _two_point_model(mode=RBF, alpha=(0.5, 0.5), indices=(0, 1)):
+    """A hand-built A-vs-B model on two training points."""
+    return SvmModel(["A", "B"], [BinaryModel(("A", "B"), np.array(alpha), np.array([1.0, -1.0]),
+                                             0.0, np.array(indices))],
+                    KernelConfig(mode=mode, gamma=1.0), np.array([[0.2, 0.3], [0.7, 0.6]]))
+
+
 @pytest.mark.parametrize("call", [
     lambda: predict(train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG), _NAN_X),
     lambda: train_ovo(_NAN_X + TOY_X.tolist(), ["A"] + TOY_LABELS, SvmConfig(), RBF_CFG),
@@ -447,13 +454,20 @@ _NAN_X = [[0.5, np.nan]]
     lambda: Dataset([1, 2]).labels(),
     lambda: solve_binary_smo(np.eye(2), ["LOS", -1], SvmConfig()),
     lambda: solve_binary_smo([[1.0, "0.5"], ["x", 1.0]], [1, -1], SvmConfig()),
+    # Hand-built models that the loader would refuse.
+    lambda: _two_point_model(FIDELITY_EXACT, indices=(0, 2)),
+    lambda: _two_point_model(FIDELITY_EXACT, alpha=(np.nan, 0.5)),
+    lambda: _two_point_model(RBF, alpha=(np.nan, 0.5)),
+    lambda: _two_point_model(RBF, alpha=(-0.5, 0.5)),
 ], ids=["predict", "train_ovo", "gram_symmetric", "gram_rectangular", "statevectors",
         "solve_binary_smo", "SignalSample", "SignalSample_elevation_nan",
         "SignalSample_elevation_inf", "SignalSample_elevation_-inf",
         "SignalSample_elevation_range", "fit_scaler_empty",
         "make_report_empty", "confusion_lengths", "SignalSample_string",
         "SignalSample_elevation_none", "fit_scaler_list", "Dataset_features",
-        "Dataset_labels", "solve_binary_smo_string_label", "solve_binary_smo_string_gram"])
+        "Dataset_labels", "solve_binary_smo_string_label", "solve_binary_smo_string_gram",
+        "SvmModel_index_past_the_end", "SvmModel_nan_alpha_exact", "SvmModel_nan_alpha_rbf",
+        "SvmModel_negative_alpha"])
 def test_unusable_input_raises_invalid_input_error(call):
     with pytest.raises(InvalidInputError):
         call()
@@ -492,10 +506,19 @@ def test_unusable_input_raises_invalid_input_error(call):
      "gamma must be positive and finite"),
     (lambda: boundary_grid(train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG), None, 4),
      "model was trained on raw features"),
+    # An int beyond float range has no float for the artifacts to record.
+    (lambda: SvmConfig(C=10**400), "C must be positive and finite"),
+    (lambda: KernelConfig(mode=RBF, gamma=10**400), "gamma must be positive and finite"),
+    (lambda: ScalerParams(np.zeros(2), np.ones(2), 0, 10**400), "scaler targets must be"),
+    # The report echoes shots also for an RBF model, which spends none.
+    (lambda: run_experiment(ExperimentConfig(["T1_SHAPE"], "T1_SHAPE", model="svm",
+                                             shots="x", outdir=os.devnull)),
+     "shots must be an integer"),
 ], ids=["_check_int", "_check_positive", "KernelConfig.mode", "entanglement", "preset",
         "no training source", "model", "kernel", "grid with raw", "rbf gamma",
         "ScalerParams targets", "Fraction C", "Decimal tolerance", "Fraction gamma",
-        "Fraction C experiment", "longdouble C", "longdouble gamma", "boundary_grid raw"])
+        "Fraction C experiment", "longdouble C", "longdouble gamma", "boundary_grid raw",
+        "huge int C", "huge int gamma", "huge int ScalerParams target", "svm string shots"])
 def test_invalid_setting_raises_invalid_setting_error(call, message):
     with pytest.raises(InvalidSettingError, match=message):
         call()
@@ -529,11 +552,13 @@ def test_invalid_setting_raises_invalid_setting_error(call, message):
      r"labels must be a 1-D array, got shape \(2, 1\)"),
     (lambda: solve_binary_smo(np.zeros((0, 0)), np.zeros(0), SvmConfig()), InvalidLabelsError,
      r"training labels must hold both \+1 and -1"),
+    (lambda: _two_point_model(RBF, alpha=(0.5, 0.5, 0.5)), DimensionError,
+     r"alpha, y and training_indices differ in shape: \(3,\), \(2,\), \(2,\)"),
 ], ids=["SignalSample label", "train_ovo unhashable labels", "train_ovo unsortable labels",
         "train_ovo unhashable class", "ScalerParams shapes",
         "boundary_grid width", "predict string", "apply_scaler string",
         "solve_binary_smo scalar labels", "solve_binary_smo column labels",
-        "solve_binary_smo no labels"])
+        "solve_binary_smo no labels", "SvmModel alpha longer than y"])
 def test_unusable_labels_or_shapes_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -551,9 +576,9 @@ def _reference_vote(votes, margins):
 def test_vectorized_vote_matches_per_row_loop():
     # Training points 10 apart under an RBF kernel with gamma 1: predicting
     # them gives an identity kernel block to double precision, so each binary
-    # model's decision on row i is exactly its coefficient i. Coefficients
-    # of +-1 and +-2 over four classes give 2- and 3-way vote ties, many of
-    # them with tied margin sums as well.
+    # model's decision on row i is exactly its coefficient alpha_i * y_i,
+    # here d_i. Coefficients of +-1 and +-2 over four classes give 2- and
+    # 3-way vote ties, many of them with tied margin sums as well.
     classes = ["A", "B", "C", "D"]
     m = 400
     rng = np.random.default_rng(0)
@@ -563,7 +588,7 @@ def test_vectorized_vote_matches_per_row_loop():
     model = SvmModel(
         classes=classes,
         binary_models=[
-            BinaryModel(label_pair=pair, alpha=d, y=np.ones(m), bias=0.0,
+            BinaryModel(label_pair=pair, alpha=np.abs(d), y=np.sign(d), bias=0.0,
                         training_indices=np.arange(m))
             for pair, d in decisions.items()
         ],
