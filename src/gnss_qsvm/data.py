@@ -103,7 +103,7 @@ class ScalerParams:
 
     def __post_init__(self):
         self.target_lo, self.target_hi = _check_targets(self.target_lo, self.target_hi)
-        self.data_min, self.data_max = _float_matrix(self.data_min), _float_matrix(self.data_max)
+        self.data_min, self.data_max = _numbers(self.data_min), _numbers(self.data_max)
         if not self.data_min.shape == self.data_max.shape == (len(_FEATURES),):
             raise DimensionError(f"data_min and data_max must hold {len(_FEATURES)} values, "
                                  f"got shapes {self.data_min.shape} and {self.data_max.shape}")
@@ -193,7 +193,8 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
 
     Values outside the fitted range are not clamped and land outside the
     target interval. Anything but an (m, 2) matrix or a Dataset raises
-    DimensionError.
+    DimensionError, and a value that is not finite, or whose scaled value
+    is not, raises InvalidInputError.
     """
     X = data.features() if isinstance(data, Dataset) else _float_matrix(data)
     if X.ndim != 2 or X.shape[1] != len(_FEATURES):
@@ -201,7 +202,11 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
                              f"got shape {X.shape}")
     span = params.data_max - params.data_min
     scale = (params.target_hi - params.target_lo) / span
-    return params.target_lo + (X - params.data_min) * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # left to the check below
+        scaled = params.target_lo + (X - params.data_min) * scale
+    if not np.isfinite(scaled).all():
+        raise InvalidInputError("feature values and their scaled values must be finite")
+    return scaled
 
 
 def _float_matrix(X) -> np.ndarray:
@@ -210,6 +215,27 @@ def _float_matrix(X) -> np.ndarray:
     try:
         return np.asarray(X, dtype=float)
     except (TypeError, ValueError) as exc:
+        raise InvalidInputError(str(exc)) from None
+
+
+def _numbers(value, integer: bool = False) -> np.ndarray:
+    """The check of every model and scaler array: ``value`` as a float64 array,
+    or an int one if ``integer``. A numeric array passes at once; lists and
+    tuples may nest only such arrays and ``_is_real`` numbers (ints if
+    ``integer``): numpy alone takes "0.5" as 0.5, True as 1, and cuts 0.5 to 0."""
+    stack, kinds, plain = [value], "iu" if integer else "iuf", (int,) if integer else (int, float)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif type(item) not in plain and not (  # JSON's int and float: no bool gets here
+                isinstance(item, np.ndarray) and item.dtype.kind in kinds or _is_real(item)
+                and (not integer or isinstance(item, (int, np.integer)))):
+            raise InvalidInputError(
+                f"expected {'integers' if integer else 'numbers'}, got {item!r}")
+    try:
+        return np.asarray(value, dtype=int if integer else float)
+    except (OverflowError, ValueError) as exc:  # an int out of range, ragged lists
         raise InvalidInputError(str(exc)) from None
 
 

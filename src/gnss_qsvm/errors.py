@@ -21,7 +21,8 @@ class CsvParseError(ValueError):
 class InvalidLabelsError(ValueError):
     """Label set is unusable for training (no labels, one class; unknown, missing,
     unhashable or unsortable labels or classes), a sample's label is not a reception
-    label, a model's binary models are not the one-vs-one pairs of its classes, a
+    label, a model's classes are no list or unhashable, its binary models are not the
+    one-vs-one pairs of its classes or have a label pair that is no list or tuple, a
     label being scored is unhashable or outside the class list, or a training or
     scored class list names a class twice."""
 
@@ -38,8 +39,10 @@ class InvalidSettingError(ValueError):
 
 class InvalidInputError(ValueError):
     """Input data is unusable: a feature, C/N0, elevation, Gram entry, alpha or bias that is no
-    finite number, an SMO label that is no number, a negative alpha, a model's y not +-1 or index
-    off its features, an elevation outside [0, 90], an asymmetric Gram, a Dataset of non-samples,
+    finite number, a feature that scales to none, an SMO label that is no number, a bool, string
+    or None in a model's or scaler's arrays, a negative alpha, a model's y not +-1, index that is
+    no int or off its features, converged flag that is no bool or binary model that is no
+    BinaryModel, an elevation outside [0, 90], an asymmetric Gram, a Dataset of non-samples,
     anything but a non-empty Dataset to scale, empty data to score, or unequal label counts."""
 
 

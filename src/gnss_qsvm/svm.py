@@ -29,8 +29,10 @@ does. No value is NaN, since the Gram is checked finite, so the partner, and
 with it the model, is the same bit for bit.
 
 Multiclass uses one-vs-one voting: an ``SvmModel`` holds binary model k for
-pair k of ``itertools.combinations(classes, 2)``, over at least two distinct
-classes, and checks that layout, its training features and each binary model.
+pair k of ``itertools.combinations(classes, 2)``, over a list of at least two
+distinct classes. The two types are the schema of ``model.json``: a
+``BinaryModel`` converts and checks its own fields, and an ``SvmModel`` checks
+that layout, its training features and that each index falls on them.
 
 With the exact fidelity kernel a binary model is a measured observable
 (Schuld 2021, arXiv:2101.11020): its decision value on a state psi(x) is
@@ -61,7 +63,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .data import (ScalerParams, _check_int, _check_matrix, _check_positive, _float_matrix,
-                   _write_artifact)
+                   _is_real, _numbers, _write_artifact)
 from .errors import (ConvergenceWarning, DimensionError, InvalidInputError, InvalidLabelsError,
                      ModelFormatError)
 from .feature_map import FeatureMapConfig, statevectors
@@ -103,6 +105,27 @@ class BinaryModel:
     training_indices: np.ndarray
     converged: bool = True
 
+    def __post_init__(self):
+        if not isinstance(self.label_pair, (list, tuple)):
+            raise InvalidLabelsError(f"label_pair must be a list or tuple, got {self.label_pair!r}")
+        if not (_is_real(self.bias) and isinstance(self.converged, bool)):
+            raise InvalidInputError(f"bias must be an int or float and converged a bool, "
+                                    f"got {self.bias!r} and {self.converged!r}")
+        self.label_pair, self.bias = tuple(self.label_pair), float(self.bias)
+        pair = f"binary model {self.label_pair!r}"
+        self.alpha, self.y = alpha, y = _numbers(self.alpha), _numbers(self.y)
+        self.training_indices = idx = _numbers(self.training_indices, integer=True)
+        if alpha.ndim != 1 or not alpha.shape == y.shape == idx.shape:
+            raise DimensionError(f"{pair}: alpha, y and training_indices differ in shape: "
+                                 f"{alpha.shape}, {y.shape}, {idx.shape}")
+        if not (alpha.min(initial=0) >= 0 and math.isfinite(alpha.max(initial=0))) \
+                or not math.isfinite(self.bias):  # NaN fails min() >= 0, +-inf one of the two
+            raise InvalidInputError(f"{pair}: alpha must be finite and non-negative, bias finite")
+        if not (np.abs(y) == 1.0).all():
+            raise InvalidInputError(f"{pair}: y must hold only +1 and -1")
+        if idx.min(initial=0) < 0:
+            raise InvalidInputError(f"{pair}: training indices must not be negative")
+
 
 @dataclass(eq=False)
 class SvmModel:
@@ -114,16 +137,23 @@ class SvmModel:
     observables: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        pairs = list(combinations(self.classes, 2))
-        if len(set(self.classes)) != len(self.classes) or not pairs \
-                or [bm.label_pair for bm in self.binary_models] != pairs:
+        if not isinstance(self.binary_models, list) \
+                or not all(isinstance(bm, BinaryModel) for bm in self.binary_models):
+            raise InvalidInputError("binary_models must be a list of BinaryModel objects")
+        try:
+            distinct = isinstance(self.classes, list) and len({*self.classes}) == len(self.classes)
+        except TypeError as exc:  # an unhashable class
+            raise InvalidLabelsError(str(exc)) from None
+        pairs = list(combinations(self.classes, 2)) if distinct else []
+        if not pairs or [bm.label_pair for bm in self.binary_models] != pairs:
             raise InvalidLabelsError(
                 f"binary models {[bm.label_pair for bm in self.binary_models]} are not the "
-                f"one-vs-one pairs of at least two distinct classes {self.classes}")
-        self.training_features = _check_features(self.training_features, self.kernel_config,
-                                                 "training_features")
-        for bm in self.binary_models:
-            _check_binary_model(bm, len(self.training_features))
+                f"one-vs-one pairs of a list of at least two distinct classes {self.classes!r}")
+        self.training_features = _check_features(
+            _numbers(self.training_features), self.kernel_config, "training_features")
+        n_train = len(self.training_features)
+        if any(bm.training_indices.max(initial=-1) >= n_train for bm in self.binary_models):
+            raise InvalidInputError(f"training indices must be below the {n_train} training points")
         if self.kernel_config.mode == FIDELITY_EXACT:
             self.observables = _observables(self)
 
@@ -325,17 +355,8 @@ def solve_binary_smo(
             ConvergenceWarning,
         )
 
-    bias = _final_bias(alpha, y, f, C)
-    if training_indices is None:
-        training_indices = np.arange(n)
-    return BinaryModel(
-        label_pair=tuple(label_pair),
-        alpha=alpha,
-        y=y,
-        bias=bias,
-        training_indices=np.asarray(training_indices, dtype=int),
-        converged=converged,
-    )
+    return BinaryModel(label_pair, alpha, y, _final_bias(alpha, y, f, C),
+                       np.arange(n) if training_indices is None else training_indices, converged)
 
 
 def _objective_delta(t, a1o, a2o, y1, y2, f1, f2, k11, k12, k22):
@@ -482,45 +503,10 @@ def model_to_dict(model: SvmModel, scaler: ScalerParams | None = None) -> dict:
                   dict_factory=_json_ready)
 
 
-def _json_numbers(value):
-    """``value`` as it is, once every leaf of its nested lists is a JSON
-    number. numpy alone also takes strings and booleans ("0.5" as 0.5,
-    true as 1), even into a float64 array."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise TypeError(f"expected JSON numbers, got {item!r}")
-    return value
-
-
-def _floats(value) -> np.ndarray:
-    return np.array(_json_numbers(value), dtype=float)
-
-
-def _json_list(value) -> list:
-    # list() alone also takes a string: "AB" as ['A', 'B'].
-    if not isinstance(value, list):
-        raise TypeError(f"expected a JSON list, got {value!r}")
-    return value
-
-
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected a JSON boolean, got {value!r}")
-    return value
-
-
-def _json_number(value) -> float:
-    return float(_json_numbers(value))  # float() rejects a list
-
-
 def _from_section(cls, section, what: str, **convert):
     """A ``cls`` from a model document section whose keys are exactly its
-    fields, each value passed through its field's converter (default: as
-    is). Any failure raises ModelFormatError."""
+    fields, each value as parsed (a nested section built by its converter):
+    ``cls`` checks its own fields. Any failure raises ModelFormatError."""
     names = [f.name for f in fields(cls)]
     try:
         if not isinstance(section, dict) or section.keys() != set(names):
@@ -533,43 +519,22 @@ def _from_section(cls, section, what: str, **convert):
         raise ModelFormatError(f"invalid {what}: {exc!r}") from exc
 
 
-def _check_binary_model(bm: BinaryModel, n_train: int) -> None:
-    pair, alpha, idx = f"binary model {bm.label_pair!r}", bm.alpha, bm.training_indices
-    if alpha.ndim != 1 or not alpha.shape == bm.y.shape == idx.shape:
-        raise DimensionError(f"{pair}: alpha, y and training_indices differ in shape: "
-                             f"{alpha.shape}, {bm.y.shape}, {idx.shape}")
-    if alpha.size and not (alpha.min() >= 0 and math.isfinite(alpha.max())) \
-            or not math.isfinite(bm.bias):  # NaN fails min() >= 0, +-inf one of the two
-        raise InvalidInputError(f"{pair}: alpha must be finite and non-negative, bias finite")
-    if not (np.abs(bm.y) == 1.0).all():
-        raise InvalidInputError(f"{pair}: y must hold only +1 and -1")
-    if idx.dtype.kind != "i" or idx.size and (idx.min() < 0 or idx.max() >= n_train):
-        raise InvalidInputError(f"{pair}: training indices must be integers in [0, {n_train})")
-
-
 def model_from_dict(doc: dict) -> tuple[SvmModel, ScalerParams | None]:
     """Rebuild a model from its JSON document, rejecting inconsistent ones
     with ModelFormatError before they can fail inside ``predict``."""
     doc = _from_section(
         _Document, doc, "model document",
-        classes=_json_list,
-        binary_models=lambda models: [
-            _from_section(BinaryModel, bm, "binary model",
-                          label_pair=lambda v: tuple(_json_list(v)), alpha=_floats,
-                          y=_floats, bias=_json_number, converged=_json_bool,
-                          training_indices=lambda v: np.array(_json_numbers(v)))
-            for bm in models
-        ],
+        binary_models=lambda models: [_from_section(BinaryModel, bm, "binary model")
+                                      for bm in models],
         kernel=lambda section: _from_section(
             KernelConfig, section, "kernel section",
             feature_map=lambda fm: _from_section(FeatureMapConfig, fm, "kernel section")),
-        training_features=_json_numbers,
         scaler=lambda section: None if section is None else _from_section(
-            ScalerParams, section, "scaler section", data_min=_floats, data_max=_floats),
+            ScalerParams, section, "scaler section"),
     )
     try:
         model = SvmModel(doc.classes, doc.binary_models, doc.kernel, doc.training_features)
-    except (ValueError, TypeError) as exc:  # TypeError: an unhashable class
+    except ValueError as exc:
         raise ModelFormatError(
             f"model is inconsistent or does not fit the training features: {exc}") from exc
     return model, doc.scaler

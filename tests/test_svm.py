@@ -424,11 +424,16 @@ def test_non_finite_features_rejected(mode, bad):
 _NAN_X = [[0.5, np.nan]]
 
 
-def _two_point_model(mode=RBF, alpha=(0.5, 0.5), indices=(0, 1)):
-    """A hand-built A-vs-B model on two training points."""
-    return SvmModel(["A", "B"], [BinaryModel(("A", "B"), np.array(alpha), np.array([1.0, -1.0]),
-                                             0.0, np.array(indices))],
+def _two_point_model(mode=RBF, alpha=(0.5, 0.5), indices=(0, 1), classes=None, **fields):
+    """A hand-built A-vs-B model on two training points; ``alpha``, ``indices``,
+    ``classes`` and the binary model's other ``fields`` are passed as given."""
+    bm = BinaryModel(**{"label_pair": ("A", "B"), "alpha": alpha, "y": (1.0, -1.0), "bias": 0.0,
+                        "training_indices": indices, **fields})
+    return SvmModel(["A", "B"] if classes is None else classes, [bm],
                     KernelConfig(mode=mode, gamma=1.0), np.array([[0.2, 0.3], [0.7, 0.6]]))
+
+
+_HALF_SCALER = ScalerParams(np.zeros(2), np.full(2, 0.5))  # scales by 2
 
 
 @pytest.mark.parametrize("call", [
@@ -459,6 +464,18 @@ def _two_point_model(mode=RBF, alpha=(0.5, 0.5), indices=(0, 1)):
     lambda: _two_point_model(FIDELITY_EXACT, alpha=(np.nan, 0.5)),
     lambda: _two_point_model(RBF, alpha=(np.nan, 0.5)),
     lambda: _two_point_model(RBF, alpha=(-0.5, 0.5)),
+    # Hand-built fields that model.json could not record or reload.
+    lambda: _two_point_model(converged="no"),
+    lambda: _two_point_model(converged=np.True_),
+    lambda: _two_point_model(bias=True),
+    lambda: _two_point_model(alpha=np.array([True, True])),
+    lambda: SvmModel(["A", "B"], [{"label_pair": ["A", "B"], "alpha": [0.5, 0.5]}], RBF_CFG,
+                     TOY_X),
+    # A feature or scaled feature that is no finite number.
+    lambda: apply_scaler(_HALF_SCALER, [[0.5, np.nan]]),
+    lambda: apply_scaler(_HALF_SCALER, [[np.inf, 0.5]]),
+    lambda: apply_scaler(_HALF_SCALER, [[0.5, -np.inf]]),
+    lambda: apply_scaler(_HALF_SCALER, [[1e308, 0.5]]),
 ], ids=["predict", "train_ovo", "gram_symmetric", "gram_rectangular", "statevectors",
         "solve_binary_smo", "SignalSample", "SignalSample_elevation_nan",
         "SignalSample_elevation_inf", "SignalSample_elevation_-inf",
@@ -467,7 +484,9 @@ def _two_point_model(mode=RBF, alpha=(0.5, 0.5), indices=(0, 1)):
         "SignalSample_elevation_none", "fit_scaler_list", "Dataset_features",
         "Dataset_labels", "solve_binary_smo_string_label", "solve_binary_smo_string_gram",
         "SvmModel_index_past_the_end", "SvmModel_nan_alpha_exact", "SvmModel_nan_alpha_rbf",
-        "SvmModel_negative_alpha"])
+        "SvmModel_negative_alpha", "SvmModel_string_converged", "SvmModel_numpy_bool_converged",
+        "SvmModel_bool_bias", "SvmModel_bool_alpha", "SvmModel_dict_binary_model",
+        "apply_scaler_nan", "apply_scaler_inf", "apply_scaler_-inf", "apply_scaler_overflow"])
 def test_unusable_input_raises_invalid_input_error(call):
     with pytest.raises(InvalidInputError):
         call()
@@ -554,14 +573,93 @@ def test_invalid_setting_raises_invalid_setting_error(call, message):
      r"training labels must hold both \+1 and -1"),
     (lambda: _two_point_model(RBF, alpha=(0.5, 0.5, 0.5)), DimensionError,
      r"alpha, y and training_indices differ in shape: \(3,\), \(2,\), \(2,\)"),
+    # list() would take a string of one-letter classes as their list.
+    (lambda: _two_point_model(classes="AB"), InvalidLabelsError,
+     "one-vs-one pairs of a list of at least two distinct classes 'AB'"),
 ], ids=["SignalSample label", "train_ovo unhashable labels", "train_ovo unsortable labels",
         "train_ovo unhashable class", "ScalerParams shapes",
         "boundary_grid width", "predict string", "apply_scaler string",
         "solve_binary_smo scalar labels", "solve_binary_smo column labels",
-        "solve_binary_smo no labels", "SvmModel alpha longer than y"])
+        "solve_binary_smo no labels", "SvmModel alpha longer than y", "SvmModel string classes"])
 def test_unusable_labels_or_shapes_raise_named_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def _json_round_trip(model: SvmModel) -> SvmModel:
+    loaded, _ = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    assert loaded.classes == model.classes and loaded.kernel_config == model.kernel_config
+    assert loaded.training_features.tobytes() == model.training_features.tobytes()
+    for bm, lbm in zip(model.binary_models, loaded.binary_models, strict=True):
+        assert (bm.label_pair, bm.bias, bm.converged) == (lbm.label_pair, lbm.bias, lbm.converged)
+        for name in ("alpha", "y", "training_indices"):
+            assert np.array_equal(getattr(bm, name), getattr(lbm, name))
+    return loaded
+
+
+@pytest.mark.parametrize("fields", [{"alpha": [0.5, 0.5]}, {"label_pair": ["A", "B"]}],
+                         ids=["list alpha", "list label pair"])
+def test_hand_built_model_converts_its_fields_and_reloads_equal(fields):
+    model = _two_point_model(**fields)
+    (bm,) = model.binary_models
+    assert bm.label_pair == ("A", "B") and bm.alpha.dtype == np.float64
+    loaded = _json_round_trip(model)
+    assert predict(loaded, TOY_X) == predict(model, TOY_X)
+
+
+def _forms(*values):
+    """``values`` as a list, a tuple or the array numpy infers from them."""
+    return st.sampled_from([list, tuple, np.array]).map(lambda form: form(values))
+
+
+# Each field of a hand-built two-class model: valid forms first, then ones
+# that model.json could not record or that a model cannot use.
+_MODEL_FIELDS = {
+    "classes": [["A", "B"], "AB", ("A", "B"), ["A", "A"], ["A"], [["A"], "B"]],
+    "label_pair": [("A", "B"), ["A", "B"], "AB", ("B", "A"), ["A"], None],
+    "alpha": [_forms(0, 0.5, np.float64(2.0)), _forms(np.int64(1), 0.25, 0), [0.5, -0.5, 1],
+              [math.nan, 0, 0], (math.inf, 0, 0), np.array([True, False, True]),
+              ["0.5", 0, 0], "[0.5, 0, 0]", np.float64(0.5), [0.5, 0.5], {"a": 1}],
+    "y": [_forms(1, -1.0, np.int64(1)), _forms(-1.0, 1.0, 1.0), [1, 1, 5], [True, -1, 1],
+          np.array([True, False, True]), (1, -1), "1", np.array(["1", "-1", "1"])],
+    "bias": [0, -0.25, np.float64(0.5), np.int64(-2), np.float32(1.5), True, np.True_,
+             math.nan, math.inf, "0", None, 10**400, np.longdouble(0.5), [0.0]],
+    "training_indices": [_forms(0, 1, 2), _forms(2, np.int64(0), np.uint8(2)), [0, 1, 3],
+                         (-1, 0, 1), [0.5, 1, 2], np.array([0.0, 1.0, 2.0]), [True, 0, 1],
+                         [0, 1, 2**70], np.array([0, 1, 2**63], dtype=np.uint64), "012"],
+    "converged": [True, False, "no", np.True_, 1, None],
+    "training_features": [_forms([0.2, 0.3], [0.7, 0.6], [0.1, 0.9]),
+                          np.array([[0, 1], [1, 0], [1, 1]]), [[0.2, 0.3, 0.5]] * 3,
+                          [["0.2", 0.3], [0.7, 0.6], [0.1, 0.9]], np.ones((3, 2), dtype=bool),
+                          [[math.nan, 0.3], [0.7, 0.6], [0.1, 0.9]], [[0.2, 0.3]],
+                          [[0.2, 0.3], [0.7], [0.1, 0.9]], "features"],
+}
+
+
+@st.composite
+def _hand_built_fields(draw):
+    """Each field in its first listed form, except up to two drawn from all of theirs."""
+    fields = {name: values[0] for name, values in _MODEL_FIELDS.items()}
+    for name in draw(st.sets(st.sampled_from(list(_MODEL_FIELDS)), max_size=2)):
+        fields[name] = draw(st.sampled_from(_MODEL_FIELDS[name]))
+    return {name: draw(value) if isinstance(value, st.SearchStrategy) else value
+            for name, value in fields.items()}
+
+
+@settings(deadline=None)
+@given(_hand_built_fields(), st.sampled_from([RBF_CFG, KernelConfig(FIDELITY_EXACT),
+                                              KernelConfig(FIDELITY_SAMPLED, shots=64)]))
+def test_hand_built_model_raises_a_named_error_or_round_trips(fields, kcfg):
+    bm_fields = {name: fields.pop(name) for name in
+                 ("label_pair", "alpha", "y", "bias", "training_indices", "converged")}
+    try:
+        model = SvmModel(binary_models=[BinaryModel(**bm_fields)], kernel_config=kcfg, **fields)
+    except ValueError as exc:
+        assert type(exc).__module__ == "gnss_qsvm.errors", repr(exc)
+        return
+    loaded = _json_round_trip(model)
+    X = model.training_features
+    assert predict(loaded, X) == predict(model, X)
 
 
 def _reference_vote(votes, margins):
