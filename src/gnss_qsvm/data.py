@@ -55,11 +55,7 @@ class SignalSample:
 
     def __post_init__(self):
         for name, value in (("cn0_diff", self.cn0_diff), ("elevation", self.elevation)):
-            try:
-                finite = math.isfinite(value)
-            except TypeError:  # no number: a string, None
-                finite = False
-            if not finite:
+            if not (_is_real(value) and math.isfinite(value)):
                 raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.elevation <= 90.0:
             raise InvalidInputError(f"elevation {self.elevation} out of [0, 90] degrees")
@@ -173,8 +169,8 @@ def _write_artifact(path, text: str) -> None:
 
 def write_csv(dataset: Dataset, path) -> None:
     """Writer counterpart of load_csv; floats use repr for exact round trips."""
-    rows = "".join(f"{float(s.cn0_diff)!r},{float(s.elevation)!r},{s.label}\n"
-                   for s in dataset.samples)
+    rows = "".join(f"{cn0!r},{elevation!r},{label}\n" for (cn0, elevation), label
+                   in zip(dataset.features().tolist(), dataset.labels()))
     _write_artifact(path, ",".join(CSV_HEADER) + "\n" + rows)
 
 
@@ -193,10 +189,10 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
 
     Values outside the fitted range are not clamped and land outside the
     target interval. Anything but an (m, 2) matrix or a Dataset raises
-    DimensionError, and a value that is not finite, or whose scaled value
-    is not, raises InvalidInputError.
+    DimensionError. A value that ``_numbers`` refuses (a bool, a string), is
+    not finite, or whose scaled value is not, raises InvalidInputError.
     """
-    X = data.features() if isinstance(data, Dataset) else _float_matrix(data)
+    X = data.features() if isinstance(data, Dataset) else _numbers(data)
     if X.ndim != 2 or X.shape[1] != len(_FEATURES):
         raise DimensionError(f"expected an (m, {len(_FEATURES)}) feature matrix, "
                              f"got shape {X.shape}")
@@ -209,23 +205,18 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
     return scaled
 
 
-def _float_matrix(X) -> np.ndarray:
-    """``np.asarray(X, dtype=float)``; an entry that is no number (a string)
-    raises InvalidInputError with numpy's message."""
-    try:
-        return np.asarray(X, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(str(exc)) from None
-
-
 def _numbers(value, integer: bool = False) -> np.ndarray:
-    """The check of every model and scaler array: ``value`` as a float64 array,
-    or an int one if ``integer``. A numeric array passes at once; lists and
-    tuples may nest only such arrays and ``_is_real`` numbers (ints if
-    ``integer``): numpy alone takes "0.5" as 0.5, True as 1, and cuts 0.5 to 0."""
+    """The conversion of every array a caller passes (features, Grams, SMO
+    labels, model and scaler arrays): ``value`` as a float64 array, or an int
+    one if ``integer``. A numeric array passes at once; lists, tuples and
+    object arrays may nest only such arrays and ``_is_real`` numbers (ints if
+    ``integer``): numpy alone takes "0.5" as 0.5, True as 1, cuts 0.5 to 0 and
+    drops an imaginary part."""
     stack, kinds, plain = [value], "iu" if integer else "iuf", (int,) if integer else (int, float)
     while stack:
         item = stack.pop()
+        if isinstance(item, np.ndarray) and item.dtype.kind == "O":
+            item = item.tolist()  # the objects it holds, nested as its rows
         if isinstance(item, (list, tuple)):
             stack.extend(item)
         elif type(item) not in plain and not (  # JSON's int and float: no bool gets here
@@ -240,15 +231,16 @@ def _numbers(value, integer: bool = False) -> np.ndarray:
 
 
 def _check_matrix(X, name: str = "X", width: int | None = None) -> np.ndarray:
-    """The check of every feature matrix: X must be a non-empty, finite 2-D
-    matrix, ``width`` columns wide when that is given."""
-    X = _float_matrix(X)
+    """The check of every feature matrix: X must be a non-empty 2-D matrix of
+    finite values, ``width`` columns wide when that is given. Beyond 1e150 in
+    magnitude the feature map's phases and RBF's distances would overflow."""
+    X = _numbers(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {X.shape}")
     if width is not None and X.shape[1] != width:
         raise DimensionError(f"{name} has {X.shape[1]} feature(s), expected {width}")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("feature values must be finite")
+    if not np.abs(X).max(initial=0.0) <= 1e150:  # NaN fails too
+        raise InvalidInputError("feature values must be finite, at most 1e150 in magnitude")
     return X
 
 
@@ -261,10 +253,12 @@ def _check_int(value, name: str, lo=-math.inf, hi=math.inf) -> None:
 
 
 def _is_real(value) -> bool:
-    """The type test of every real setting: Python and numpy integers and floats
-    pass; ``bool``, ``np.longdouble``, ints beyond float range and every other number
-    type (``Fraction``, ``Decimal``) fail, since the artifacts could not record them."""
-    return not isinstance(value, (bool, np.longdouble)) \
+    """The type test of every real number a caller passes (a setting, a sample's
+    value, an array entry): Python and numpy integers and floats pass (a float, as
+    every CSV value is, on the first test); ``bool``, ``np.longdouble``, ints beyond
+    float range and every other number type (``Fraction``, ``Decimal``) fail, since
+    the artifacts could not record them."""
+    return type(value) is float or not isinstance(value, (bool, np.longdouble)) \
         and isinstance(value, (int, float, np.integer, np.floating)) \
         and not (isinstance(value, int) and abs(value) > sys.float_info.max)
 

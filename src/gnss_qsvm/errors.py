@@ -38,12 +38,13 @@ class InvalidSettingError(ValueError):
 
 
 class InvalidInputError(ValueError):
-    """Input data is unusable: a feature, C/N0, elevation, Gram entry, alpha or bias that is no
-    finite number, a feature that scales to none, an SMO label that is no number, a bool, string
-    or None in a model's or scaler's arrays, a negative alpha, a model's y not +-1, index that is
-    no int or off its features, converged flag that is no bool or binary model that is no
-    BinaryModel, an elevation outside [0, 90], an asymmetric Gram, a Dataset of non-samples,
-    anything but a non-empty Dataset to scale, empty data to score, or unequal label counts."""
+    """Input data is unusable: a feature, Gram entry, alpha, bias, C/N0 or elevation that is no
+    finite number (a bool C/N0 or elevation too), a feature beyond 1e150 in magnitude or that
+    scales to none, a bool, string, complex value or None in any array a caller passes, a
+    negative alpha, a model's y not +-1, index that is no int or off its features, converged
+    flag that is no bool or binary model that is no BinaryModel, an elevation outside [0, 90],
+    an asymmetric Gram, a Dataset of non-samples, anything but a non-empty Dataset to scale,
+    empty data to score, or unequal label counts."""
 
 
 class ModelFormatError(ValueError):

@@ -32,7 +32,9 @@ Multiclass uses one-vs-one voting: an ``SvmModel`` holds binary model k for
 pair k of ``itertools.combinations(classes, 2)``, over a list of at least two
 distinct classes. The two types are the schema of ``model.json``: a
 ``BinaryModel`` converts and checks its own fields, and an ``SvmModel`` checks
-that layout, its training features and that each index falls on them.
+that layout, its training features and that each index falls on them. Both
+are frozen, so a changed model is built anew (``dataclasses.replace``) and
+checked again, and an exact one gets its observables anew.
 
 With the exact fidelity kernel a binary model is a measured observable
 (Schuld 2021, arXiv:2101.11020): its decision value on a state psi(x) is
@@ -62,8 +64,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .data import (ScalerParams, _check_int, _check_matrix, _check_positive, _float_matrix,
-                   _is_real, _numbers, _write_artifact)
+from .data import (ScalerParams, _check_int, _check_matrix, _check_positive, _is_real, _numbers,
+                   _write_artifact)
 from .errors import (ConvergenceWarning, DimensionError, InvalidInputError, InvalidLabelsError,
                      ModelFormatError)
 from .feature_map import FeatureMapConfig, statevectors
@@ -96,7 +98,7 @@ class SvmConfig:
         _check_int(self.max_passes, "max_passes", 1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BinaryModel:
     label_pair: tuple
     alpha: np.ndarray
@@ -111,10 +113,11 @@ class BinaryModel:
         if not (_is_real(self.bias) and isinstance(self.converged, bool)):
             raise InvalidInputError(f"bias must be an int or float and converged a bool, "
                                     f"got {self.bias!r} and {self.converged!r}")
-        self.label_pair, self.bias = tuple(self.label_pair), float(self.bias)
+        alpha, y = _numbers(self.alpha), _numbers(self.y)
+        idx = _numbers(self.training_indices, integer=True)
+        vars(self).update(label_pair=tuple(self.label_pair), bias=float(self.bias), alpha=alpha,
+                          y=y, training_indices=idx)  # frozen: stored past __setattr__
         pair = f"binary model {self.label_pair!r}"
-        self.alpha, self.y = alpha, y = _numbers(self.alpha), _numbers(self.y)
-        self.training_indices = idx = _numbers(self.training_indices, integer=True)
         if alpha.ndim != 1 or not alpha.shape == y.shape == idx.shape:
             raise DimensionError(f"{pair}: alpha, y and training_indices differ in shape: "
                                  f"{alpha.shape}, {y.shape}, {idx.shape}")
@@ -127,7 +130,7 @@ class BinaryModel:
             raise InvalidInputError(f"{pair}: training indices must not be negative")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SvmModel:
     classes: list
     binary_models: list
@@ -149,13 +152,13 @@ class SvmModel:
             raise InvalidLabelsError(
                 f"binary models {[bm.label_pair for bm in self.binary_models]} are not the "
                 f"one-vs-one pairs of a list of at least two distinct classes {self.classes!r}")
-        self.training_features = _check_features(
-            _numbers(self.training_features), self.kernel_config, "training_features")
+        vars(self)["training_features"] = _check_features(  # frozen, as in BinaryModel
+            self.training_features, self.kernel_config, "training_features")
         n_train = len(self.training_features)
         if any(bm.training_indices.max(initial=-1) >= n_train for bm in self.binary_models):
             raise InvalidInputError(f"training indices must be below the {n_train} training points")
         if self.kernel_config.mode == FIDELITY_EXACT:
-            self.observables = _observables(self)
+            vars(self)["observables"] = _observables(self)
 
 
 def _observables(model: SvmModel) -> np.ndarray:
@@ -184,16 +187,17 @@ def solve_binary_smo(
     label_pair: tuple = (1, -1),
     training_indices=None,
 ) -> BinaryModel:
-    """SMO on a precomputed symmetric Gram matrix with +/-1 labels; a Gram
-    that is not finite and exactly symmetric raises InvalidInputError.
+    """SMO on a precomputed symmetric Gram matrix with +/-1 labels; a Gram or
+    labels that ``data._numbers`` refuses (a bool, a string), or a Gram that is
+    not finite and exactly symmetric, raises InvalidInputError.
 
     Returns the dual coefficients and a bias averaged over free support
     vectors (midpoint of the KKT-feasible interval when none are free).
     Non-convergence within max_passes sweeps yields a best-effort model
     flagged converged=False.
     """
-    K = np.ascontiguousarray(_float_matrix(gram))
-    y = _float_matrix(y)
+    K = np.ascontiguousarray(_numbers(gram))
+    y = _numbers(y)
     if y.ndim != 1:
         raise DimensionError(f"labels must be a 1-D array, got shape {y.shape}")
     n = y.shape[0]

@@ -386,7 +386,8 @@ class TestGenerateSynthetic:
 @pytest.mark.parametrize("call", [
     Dataset.features, Dataset.labels, fit_scaler,
     lambda ds: apply_scaler(ScalerParams(np.zeros(2), np.ones(2)), ds),
-], ids=["features", "labels", "fit_scaler", "apply_scaler"])
+    lambda ds: write_csv(ds, os.devnull),
+], ids=["features", "labels", "fit_scaler", "apply_scaler", "write_csv"])
 @pytest.mark.parametrize("rows", [[], [(1.0, 10.0, "LOS")]], ids=["empty", "one sample"])
 def test_samples_changed_after_construction_raise_invalid_input_error(call, rows):
     # The constructor checks the list it is given; an item appended later

@@ -149,9 +149,9 @@ class TestBoundaryGrid:
             boundary_grid(_constant_model(1.0), None, resolution=3)
 
     def test_non_2d_model_rejected(self):
-        model = _constant_model(1.0)
-        model.training_features = np.zeros((2, 3))
-        with pytest.raises(ValueError):
+        model = train_ovo(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), ["A", "B"], SvmConfig(),
+                          KernelConfig(mode=RBF, gamma=1.0))
+        with pytest.raises(ValueError, match="boundary grids need a 2-feature model"):
             boundary_grid(model, UNIT_SCALER, resolution=3)
 
 

@@ -244,7 +244,7 @@ class TestStatevectors:
             statevectors([[0.1, math.nan]], FM2)
 
     def test_entry_that_is_no_number_rejected(self):
-        with pytest.raises(InvalidInputError, match="could not convert string to float"):
+        with pytest.raises(InvalidInputError, match="expected numbers, got 'b'"):
             statevectors([["a", "b"]], FM2)
 
 

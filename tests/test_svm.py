@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -436,6 +437,10 @@ def _two_point_model(mode=RBF, alpha=(0.5, 0.5), indices=(0, 1), classes=None, *
 _HALF_SCALER = ScalerParams(np.zeros(2), np.full(2, 0.5))  # scales by 2
 
 
+def _toy_model(mode=RBF):
+    return train_ovo(TOY_X, TOY_LABELS, SvmConfig(), KernelConfig(mode=mode, gamma=1.0, shots=64))
+
+
 @pytest.mark.parametrize("call", [
     lambda: predict(train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG), _NAN_X),
     lambda: train_ovo(_NAN_X + TOY_X.tolist(), ["A"] + TOY_LABELS, SvmConfig(), RBF_CFG),
@@ -476,6 +481,24 @@ _HALF_SCALER = ScalerParams(np.zeros(2), np.full(2, 0.5))  # scales by 2
     lambda: apply_scaler(_HALF_SCALER, [[np.inf, 0.5]]),
     lambda: apply_scaler(_HALF_SCALER, [[0.5, -np.inf]]),
     lambda: apply_scaler(_HALF_SCALER, [[1e308, 0.5]]),
+    # A bool, string or complex value in any array a caller passes, as the
+    # model types refuse it in theirs; an object array is read entry by entry.
+    lambda: predict(_toy_model(), [["0.95", 0.9]]),
+    lambda: predict(_toy_model(), [[True, True]]),
+    lambda: predict(_toy_model(), np.array([[True, True]])),
+    lambda: predict(_toy_model(), TOY_X + 0.5j),
+    lambda: predict(_toy_model(), np.array([[0.5, True]], dtype=object)),
+    lambda: train_ovo(TOY_X > 0.5, TOY_LABELS, SvmConfig(), RBF_CFG),
+    lambda: apply_scaler(_HALF_SCALER, [["0.5", True]]),
+    lambda: solve_binary_smo([["1", "0"], ["0", "1"]], ["1", "-1"], SvmConfig()),
+    lambda: solve_binary_smo(np.eye(2), [True, -1], SvmConfig()),
+    lambda: statevectors(TOY_X > 0.5, FeatureMapConfig(num_features=2)),
+    lambda: statevectors(TOY_X + 0j, FeatureMapConfig(num_features=2)),
+    lambda: gram_symmetric(np.array([[0.5, True], [0.2, 0.1]], dtype=object), RBF_CFG),
+    lambda: SignalSample(True, 45.0, "LOS"),
+    lambda: SignalSample(1.0, np.True_, "LOS"),
+    # Features so large that the feature map's phases overflow to NaN states.
+    lambda: predict(_toy_model(FIDELITY_EXACT), [[1e200, 1e200]]),
 ], ids=["predict", "train_ovo", "gram_symmetric", "gram_rectangular", "statevectors",
         "solve_binary_smo", "SignalSample", "SignalSample_elevation_nan",
         "SignalSample_elevation_inf", "SignalSample_elevation_-inf",
@@ -486,7 +509,12 @@ _HALF_SCALER = ScalerParams(np.zeros(2), np.full(2, 0.5))  # scales by 2
         "SvmModel_index_past_the_end", "SvmModel_nan_alpha_exact", "SvmModel_nan_alpha_rbf",
         "SvmModel_negative_alpha", "SvmModel_string_converged", "SvmModel_numpy_bool_converged",
         "SvmModel_bool_bias", "SvmModel_bool_alpha", "SvmModel_dict_binary_model",
-        "apply_scaler_nan", "apply_scaler_inf", "apply_scaler_-inf", "apply_scaler_overflow"])
+        "apply_scaler_nan", "apply_scaler_inf", "apply_scaler_-inf", "apply_scaler_overflow",
+        "predict_numeric_string", "predict_bool_list", "predict_bool_array", "predict_complex",
+        "predict_object_array_bool", "train_ovo_bool_array", "apply_scaler_string_and_bool",
+        "solve_binary_smo_numeric_strings", "solve_binary_smo_bool_label",
+        "statevectors_bool_array", "statevectors_complex", "gram_symmetric_object_array_bool",
+        "SignalSample_bool_cn0", "SignalSample_numpy_bool_elevation", "predict_huge_feature"])
 def test_unusable_input_raises_invalid_input_error(call):
     with pytest.raises(InvalidInputError):
         call()
@@ -559,11 +587,11 @@ def test_invalid_setting_raises_invalid_setting_error(call, message):
                                      SvmConfig(), RBF_CFG),
                            ScalerParams(np.zeros(2), np.ones(2)), 4),
      DimensionError, "boundary grids need a 2-feature model, got 3 feature"),
-    # A string in a feature matrix keeps numpy's message.
+    # A string in a feature matrix is named as data._numbers names it.
     (lambda: predict(train_ovo(TOY_X, TOY_LABELS, SvmConfig(), RBF_CFG), [[0.5, "LOS"]]),
-     InvalidInputError, "could not convert string to float: 'LOS'"),
+     InvalidInputError, "expected numbers, got 'LOS'"),
     (lambda: apply_scaler(ScalerParams(np.zeros(2), np.ones(2)), [[0.5, "LOS"]]),
-     InvalidInputError, "could not convert string to float: 'LOS'"),
+     InvalidInputError, "expected numbers, got 'LOS'"),
     # Labels that are not one vector, with a Gram that would fit their length.
     (lambda: solve_binary_smo(np.eye(1), 1.0, SvmConfig()), DimensionError,
      r"labels must be a 1-D array, got shape \(\)"),
@@ -605,6 +633,29 @@ def test_hand_built_model_converts_its_fields_and_reloads_equal(fields):
     assert bm.label_pair == ("A", "B") and bm.alpha.dtype == np.float64
     loaded = _json_round_trip(model)
     assert predict(loaded, TOY_X) == predict(model, TOY_X)
+
+
+def test_object_array_of_numbers_predicts_as_its_float_array():
+    X = np.array([[0.05, 1], [np.float64(0.8), 0.95]], dtype=object)
+    model = _toy_model(FIDELITY_EXACT)
+    assert predict(model, X) == predict(model, X.astype(float))
+
+
+def test_model_fields_are_frozen_and_replace_checks_again():
+    model = _toy_model(FIDELITY_EXACT)
+    (bm,) = model.binary_models
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bm.alpha = np.zeros_like(bm.alpha)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.training_features = np.zeros((4, 3))
+    with pytest.raises(InvalidInputError, match="alpha must be finite and non-negative"):
+        dataclasses.replace(bm, alpha=np.full_like(bm.alpha, -0.5))
+    # A replaced binary model gives its new model new observables, so it
+    # predicts as the model.json round trip of its fields does.
+    zeroed = dataclasses.replace(
+        model, binary_models=[dataclasses.replace(bm, alpha=np.zeros_like(bm.alpha))])
+    labels = predict(zeroed, TOY_X)
+    assert labels == predict(_json_round_trip(zeroed), TOY_X) and labels != predict(model, TOY_X)
 
 
 def _forms(*values):
@@ -660,6 +711,40 @@ def test_hand_built_model_raises_a_named_error_or_round_trips(fields, kcfg):
     loaded = _json_round_trip(model)
     X = model.training_features
     assert predict(loaded, X) == predict(model, X)
+
+
+# Each entry of a drawn feature matrix: as often a number of a type a caller
+# might pass as a value that is no number or no finite one.
+_FEATURE_ENTRIES = st.one_of(
+    st.one_of(st.floats(-100, 100), st.floats(), st.integers(), st.floats().map(np.float64),
+              st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64)),
+    st.one_of(st.booleans(), st.booleans().map(np.bool_), st.none(),
+              st.sampled_from([math.nan, math.inf, -math.inf]),
+              st.complex_numbers(), st.complex_numbers().map(np.complex128),
+              st.floats(allow_nan=False, allow_infinity=False).map(str), st.integers().map(str)),
+)
+
+
+@st.composite
+def _feature_matrices(draw):
+    """A 1-4 row, 2-column matrix as nested lists, nested tuples or the array numpy infers."""
+    rows = draw(st.lists(st.tuples(_FEATURE_ENTRIES, _FEATURE_ENTRIES), min_size=1, max_size=4))
+    form = draw(st.sampled_from(["list", "tuple", "array"]))
+    return [list(row) for row in rows] if form == "list" else \
+        tuple(rows) if form == "tuple" else np.array(rows)
+
+
+@settings(deadline=None)
+@given(_feature_matrices(), st.sampled_from([FIDELITY_EXACT, FIDELITY_SAMPLED, RBF]))
+def test_feature_matrix_raises_a_named_error_or_acts_as_its_float_array(X, mode):
+    model = _toy_model(mode)
+    for call in (lambda X: predict(model, X), lambda X: apply_scaler(_HALF_SCALER, X)):
+        try:
+            result = call(X)
+        except ValueError as exc:
+            assert type(exc).__module__ == "gnss_qsvm.errors", repr(exc)
+            continue
+        assert np.array_equal(result, call(np.asarray(X, dtype=float)))
 
 
 def _reference_vote(votes, margins):
