@@ -4,7 +4,8 @@ A feature vector x is encoded by repeating, per repetition: a Hadamard
 layer, single-qubit phases 2*x_i, and for each entangled pair (i, j) the
 block CX(i->j), PHASE(2*(pi - x_i)*(pi - x_j)) on j, CX(i->j). One qubit
 per feature. :func:`statevectors` builds the states of a whole batch at
-once; the kernels take their states from it.
+once, from a plan built once per config; the kernels take their states
+from it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,53 @@ class FeatureMapConfig:
         return [(i, i + 1) for i in range(n - 1)]
 
 
+def _plan(config: FeatureMapConfig) -> tuple:
+    """The gate indices of ``config`` and the amplitudes after its first
+    Hadamard layer, which are the same for every row: built on the first
+    call and kept on the config."""
+    plan = vars(config).get("_plan")
+    if plan is None:
+        n, pairs = config.num_features, config.pairs()
+
+        # Little-endian: qubit q is axis n - 1 - q. half((q, v), ...) indexes
+        # the amplitudes whose bit q is v for every pair given.
+        def half(*bits):
+            index = [slice(None)] * n
+            for q, v in bits:
+                index[n - 1 - q] = v
+            return tuple(index)
+
+        halves = [(half((q, 0)), half((q, 1))) for q in range(n)]
+        # On two columns, as every call runs, so the same vector loop rounds.
+        first = np.zeros((1 << n, 2), dtype=complex)
+        first[0] = 1.0
+        _hadamard_layer(first, halves)
+        first = first[:, :1].copy()
+        first.flags.writeable = False
+        # PHASE multiplies the amplitudes whose target bit is set; a
+        # CX . PHASE . CX block multiplies those where z_i != z_j.
+        targets = [[b] for _, b in halves] + [
+            [half((i, 1), (j, 0)), half((i, 0), (j, 1))] for i, j in pairs]
+        # d[a] * d[b] over these row slices of d = pi - x are the pair phases
+        # in the order of pairs(): each qubit's partners j > i are consecutive.
+        blocks = [(slice(i, i + 1), slice(i + 1, n if config.entanglement == "full" else i + 2))
+                  for i in range(n - 1)]
+        plan = vars(config)["_plan"] = halves, targets, blocks, first  # frozen: past __setattr__
+    return plan
+
+
+def _hadamard_layer(states, halves):
+    # Halves a, b become (a + b) * 1/sqrt(2) and (a - b) * 1/sqrt(2).
+    qubits = states.reshape((2,) * len(halves) + (-1,))
+    sums = np.empty_like(states)
+    out = sums.reshape(qubits.shape)
+    for a, b in halves:
+        qa, qb = qubits[a], qubits[b]
+        np.add(qa, qb, out=out[a])
+        np.subtract(qa, qb, out=out[b])
+        np.multiply(sums, _SQRT1_2, out=states)
+
+
 def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
     """Feature-map states of every row of ``X``, shape (m, 2**n): the gates
     of the module docstring applied to all rows at once with the arithmetic
@@ -55,42 +103,27 @@ def statevectors(X, config: FeatureMapConfig) -> np.ndarray:
 
     The states are held amplitude-major, (2**n, m), and reshaped to one axis
     per qubit, so that the halves a gate acts on are basic-slice views and
-    every gate is an in-place operation on whole rows of samples. numpy
-    multiplies a one-element complex row in its scalar loop, which rounds
-    differently from the vector loop of any longer row, so a one-row call
-    runs on the row doubled and keeps one."""
+    every gate is an operation on whole rows of samples. The first layer's
+    amplitudes come from the config's plan, and one ``exp`` forms every
+    phase factor. numpy multiplies a one-element complex row in its scalar
+    loop, which rounds differently from the vector loop of any longer row,
+    so a one-row call runs on the row doubled and keeps one."""
     n = config.num_features
     X = _check_matrix(X, width=n)
     m = len(X)
     if m == 1:
         X = np.repeat(X, 2, axis=0)
-    states = np.zeros((1 << n, len(X)), dtype=complex)
-    states[0] = 1.0
-    # Little-endian: qubit q is axis n - 1 - q. half((q, v), ...) is the view
-    # of the amplitudes whose bit q is v for every pair given.
+    halves, targets, blocks, first = _plan(config)
+    states = first.repeat(len(X), axis=1)
     qubits = states.reshape((2,) * n + (-1,))
-
-    def half(*bits):
-        index = [slice(None)] * n
-        for q, v in bits:
-            index[n - 1 - q] = v
-        return qubits[tuple(index)]
-
-    hadamards = [(half((q, 0)), half((q, 1))) for q in range(n)]
-    # PHASE multiplies the amplitudes whose target bit is set; a
-    # CX . PHASE . CX block multiplies those where z_i != z_j.
-    phases = [([half((q, 1))], np.exp(1j * (2.0 * X[:, q]))) for q in range(n)] + [
-        ([half((i, 1), (j, 0)), half((i, 0), (j, 1))],
-         np.exp(1j * (2.0 * ((math.pi - X[:, i]) * (math.pi - X[:, j])))))
-        for i, j in config.pairs()
-    ]
-    for _ in range(config.repetitions):
-        for a, b in hadamards:
-            diff = a - b
-            a += b
-            a *= _SQRT1_2
-            np.multiply(diff, _SQRT1_2, out=b)
-        for targets, factor in phases:
-            for target in targets:
-                target *= factor
+    # exp(1j * (2.0 * phi)) for phi = x_q, then for phi = (pi - x_i) * (pi - x_j).
+    d = math.pi - X.T
+    factors = np.exp(np.concatenate([X.T, *[d[a] * d[b] for a, b in blocks]]) * 2j)
+    for rep in range(config.repetitions):
+        if rep:
+            _hadamard_layer(states, halves)
+        for factor, indices in zip(factors, targets):
+            for index in indices:
+                view = qubits[index]
+                view *= factor
     return np.ascontiguousarray(states[:, :m].T)

@@ -179,10 +179,12 @@ def _check_features(X, cfg: KernelConfig, name: str = "X") -> np.ndarray:
     return X
 
 
-def _block(A: np.ndarray, B: np.ndarray, cfg: KernelConfig, upper: bool = False) -> np.ndarray:
+def _block(A: np.ndarray, B: np.ndarray, cfg: KernelConfig, upper: bool = False,
+           drawn=None) -> np.ndarray:
     """values[i][j] = k(A[i], B[j]). ``upper`` marks the symmetric case
     (B is A): the fidelity modes then build the states once, and the sampled
-    mode spends shots only on j > i, leaving the rest exact."""
+    mode spends shots only on j > i, leaving the rest exact; given the
+    columns ``drawn``, it leaves every other column exact too."""
     if cfg.mode == RBF:
         # From 8 features on, numpy sums an (m, n, d) array pairwise, so an
         # entry may differ from that sum by an ulp.
@@ -206,6 +208,9 @@ def _block(A: np.ndarray, B: np.ndarray, cfg: KernelConfig, upper: bool = False)
     K = np.clip(np.abs(rows_a @ sv_b.T) ** 2, 0.0, 1.0)[: len(sv_a)]
     if cfg.mode == FIDELITY_SAMPLED:
         rows, cols = np.triu_indices(len(K), 1) if upper else np.indices(K.shape).reshape(2, -1)
+        if drawn is not None:
+            keep = np.isin(cols, drawn)
+            rows, cols = rows[keep], cols[keep]
         seeds = _pair_seeds(cfg.seed, rows, cols)
         K[rows, cols] = _shot_estimates(K[rows, cols], seeds, cfg.shots)
     return K

@@ -34,7 +34,8 @@ distinct classes. The two types are the schema of ``model.json``: a
 ``BinaryModel`` converts and checks its own fields, and an ``SvmModel`` checks
 that layout, its training features and that each index falls on them. Both
 are frozen, so a changed model is built anew (``dataclasses.replace``) and
-checked again, and an exact one gets its observables anew.
+checked again, and an exact one gets its observables anew. Their arrays are
+read-only copies, and a model builds its vote's pair table once.
 
 With the exact fidelity kernel a binary model is a measured observable
 (Schuld 2021, arXiv:2101.11020): its decision value on a state psi(x) is
@@ -50,7 +51,8 @@ every W side by side, then the per-row sum Re sum_j (conj(psi) W)_j psi_j.
 The dual's clip of each overlap to [0, 1] has no counterpart: it only ever
 acted on rounding noise. The sampled and RBF kernels keep the dual sum over
 the kernel row, also as a per-row sum; only the sampled kernel's entries
-still depend on the batch, through their seeds.
+still depend on the batch, through their seeds, and get shots only in
+columns with alpha > 0.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .kernels import (
     FIDELITY_EXACT,
     RBF,
     KernelConfig,
+    _block,
     _check_features,
     default_gamma,
     gram_rectangular,
@@ -113,8 +116,8 @@ class BinaryModel:
         if not (_is_real(self.bias) and isinstance(self.converged, bool)):
             raise InvalidInputError(f"bias must be an int or float and converged a bool, "
                                     f"got {self.bias!r} and {self.converged!r}")
-        alpha, y = _numbers(self.alpha), _numbers(self.y)
-        idx = _numbers(self.training_indices, integer=True)
+        alpha, y = _read_only(_numbers(self.alpha)), _read_only(_numbers(self.y))
+        idx = _read_only(_numbers(self.training_indices, integer=True))
         vars(self).update(label_pair=tuple(self.label_pair), bias=float(self.bias), alpha=alpha,
                           y=y, training_indices=idx)  # frozen: stored past __setattr__
         pair = f"binary model {self.label_pair!r}"
@@ -152,11 +155,15 @@ class SvmModel:
             raise InvalidLabelsError(
                 f"binary models {[bm.label_pair for bm in self.binary_models]} are not the "
                 f"one-vs-one pairs of a list of at least two distinct classes {self.classes!r}")
-        vars(self)["training_features"] = _check_features(  # frozen, as in BinaryModel
-            self.training_features, self.kernel_config, "training_features")
+        vars(self)["training_features"] = _read_only(_check_features(  # frozen, as in BinaryModel
+            self.training_features, self.kernel_config, "training_features"))
         n_train = len(self.training_features)
         if any(bm.training_indices.max(initial=-1) >= n_train for bm in self.binary_models):
             raise InvalidInputError(f"training indices must be below the {n_train} training points")
+        # For predict: each pair's two class indices, each model's bias.
+        index_pairs = np.array([*combinations(range(len(self.classes)), 2)]).T
+        vars(self).update(_pairs=tuple(_read_only(index_pairs)),
+                          _biases=_read_only(np.array([bm.bias for bm in self.binary_models])))
         if self.kernel_config.mode == FIDELITY_EXACT:
             vars(self)["observables"] = _observables(self)
 
@@ -177,7 +184,15 @@ def _observables(model: SvmModel) -> np.ndarray:
         # dirty, and plain Python code after a build ending on it ran about
         # 40% slower.
         blocks.append((W + W.conj().T) / 2)
-    return np.hstack(blocks)
+    observables = np.hstack(blocks)
+    observables.flags.writeable = False
+    return observables
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array = array.copy()  # _numbers may return the caller's own array
+    array.flags.writeable = False
+    return array
 
 
 def solve_binary_smo(
@@ -432,7 +447,7 @@ def train_ovo(X, labels, cfg: SvmConfig, kcfg: KernelConfig, classes=None) -> Sv
         classes=classes,
         binary_models=models,
         kernel_config=kcfg,
-        training_features=X.copy(),
+        training_features=X,
     )
 
 
@@ -443,7 +458,12 @@ def _decisions(model: SvmModel, X) -> np.ndarray:
     seeds) it does not depend on the batch the row came in."""
     cfg = model.kernel_config
     if model.observables is None:
-        K = gram_rectangular(X, model.training_features, cfg).values
+        if cfg.mode == RBF:
+            K = gram_rectangular(X, model.training_features, cfg).values
+        else:  # shots only where alpha > 0: elsewhere alpha * y is +-0.0
+            support = [bm.training_indices[bm.alpha > 0] for bm in model.binary_models]
+            K = _block(_check_features(X, cfg, "X_test"), model.training_features, cfg,
+                       drawn=np.concatenate(support))
         # take, unlike K[:, idx], returns C order, so that each row is
         # summed along itself for every batch size.
         return np.column_stack([(K.take(bm.training_indices, axis=1) * (bm.alpha * bm.y))
@@ -455,8 +475,7 @@ def _decisions(model: SvmModel, X) -> np.ndarray:
         psi = np.repeat(psi, 2, axis=0)
     # conj(psi) @ W_k for every model k, then Re sum_j (conj(psi) @ W_k)_j psi_j per row.
     rows_w = (psi.conj() @ model.observables).reshape(len(psi), -1, dim)
-    bias = np.array([bm.bias for bm in model.binary_models])
-    return ((rows_w * psi[:, None, :]).real.sum(axis=2) + bias)[:m]
+    return (np.add.reduce((rows_w * psi[:, None, :]).real, 2) + model._biases)[:m]
 
 
 def predict(model: SvmModel, X) -> list:
@@ -464,20 +483,16 @@ def predict(model: SvmModel, X) -> list:
     class. Vote ties break on the larger sum of winning |decision| margins,
     then on the lower class index."""
     decisions = _decisions(model, X)
-    n_classes = len(model.classes)
-    # Model k is pair k of combinations(classes, 2), checked by SvmModel.
-    first, second = np.array(list(combinations(range(n_classes), 2))).T
-    # (m, K, C): model k's winner on each row, one-hot over the classes. Sums
-    # along K run in model order, and a loser's margin gains 0.0, which
-    # leaves every sum exact.
-    won = np.where(decisions > 0, first, second)[..., None] == np.arange(n_classes)
-    votes = won.sum(axis=1)
-    margins = np.where(won, np.abs(decisions)[..., None], 0.0).sum(axis=1)
-
-    # Among the classes with the most votes, the largest margin sum wins;
-    # argmax takes the first of equal maxima, so the lowest index breaks ties.
-    tied = np.where(votes == votes.max(axis=1, keepdims=True), margins, -np.inf)
-    return [model.classes[w] for w in tied.argmax(axis=1).tolist()]
+    m, n_classes = len(decisions), len(model.classes)
+    # Bin r * n_classes + c counts class c's wins on row r and sums their
+    # |decision| margins; bincount adds in input order, so in model order.
+    cells = np.where(decisions > 0, *model._pairs) + np.arange(0, m * n_classes, n_classes)[:, None]
+    cells = cells.ravel()
+    # argmax orders votes + 1j * margins by votes, then margins, and takes
+    # the first of equal maxima, so the lowest index breaks ties.
+    key = np.bincount(cells, np.abs(decisions).ravel(), m * n_classes) * 1j
+    key += np.bincount(cells, None, m * n_classes)
+    return [model.classes[w] for w in key.reshape(m, n_classes).argmax(axis=1).tolist()]
 
 
 @dataclass(eq=False)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gnss_qsvm import feature_map
 from gnss_qsvm.errors import DimensionError, InvalidInputError
 from gnss_qsvm.feature_map import FeatureMapConfig, statevectors
 from gnss_qsvm.evaluate import grid_centers
@@ -223,6 +224,44 @@ class TestStatevectors:
         bulk = statevectors(X, cfg)
         for k, row in enumerate(X):
             assert statevectors(row[None], cfg).tobytes() == bulk[k : k + 1].tobytes()
+
+    @pytest.mark.parametrize("entanglement", ["full", "linear"])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_shortest_vector_loop_batches_equal_gate_simulator(self, rows, width, entanglement):
+        # Two and three rows are the shortest batches that numpy's vector
+        # loop multiplies, and every row starts from the plan's amplitudes,
+        # which come from a two-column batch.
+        for repetitions in (1, 2, 3):
+            cfg = FeatureMapConfig(width, repetitions, entanglement)
+            X = np.random.default_rng(rows + width).uniform(-2 * math.pi, 2 * math.pi,
+                                                            size=(rows, width))
+            reference = np.array([map_to_state(x, cfg).amplitudes for x in X])
+            assert np.array_equal(statevectors(X, cfg).view(np.float64),
+                                  reference.view(np.float64))
+
+    def test_interleaved_configs_keep_the_states_of_their_first_call(self):
+        # Each config's plan is built on its first call; no later call, of
+        # that config or any other, may change what it returns.
+        configs = [FeatureMapConfig(w, r, e) for w in (1, 2, 3, 4) for r in (1, 2, 3)
+                   for e in ("full", "linear")]
+        X = np.random.default_rng(8).uniform(-2 * math.pi, 2 * math.pi, size=(5, 4))
+        first = {cfg: statevectors(X[:, :cfg.num_features], cfg).tobytes() for cfg in configs}
+        order = np.random.default_rng(9).permutation(2 * len(configs)) % len(configs)
+        for k in order.tolist():
+            cfg = configs[k]
+            n = cfg.num_features
+            assert statevectors(X[:, :n], cfg).tobytes() == first[cfg]
+            assert statevectors(X[:1, :n], cfg).tobytes() == first[cfg][:16 << n]  # one row
+
+    def test_plan_arrays_are_read_only(self):
+        # A caller who reaches the shared amplitudes cannot corrupt later calls.
+        cfg = FeatureMapConfig(3, 2, "linear")
+        before = statevectors([[0.1, 0.2, 0.3]], cfg).tobytes()
+        (first,) = [a for a in feature_map._plan(cfg) if isinstance(a, np.ndarray)]
+        with pytest.raises(ValueError, match="read-only"):
+            first[...] = 0
+        assert statevectors([[0.1, 0.2, 0.3]], cfg).tobytes() == before
 
     @pytest.mark.parametrize("rows", [1, 2, 37])
     def test_returns_c_contiguous_rows(self, rows):

@@ -45,6 +45,7 @@ from gnss_qsvm.svm import (
     BinaryModel,
     SvmConfig,
     SvmModel,
+    _decisions,
     _json_text,
     load_model,
     model_from_dict,
@@ -656,6 +657,58 @@ def test_model_fields_are_frozen_and_replace_checks_again():
         model, binary_models=[dataclasses.replace(bm, alpha=np.zeros_like(bm.alpha))])
     labels = predict(zeroed, TOY_X)
     assert labels == predict(_json_round_trip(zeroed), TOY_X) and labels != predict(model, TOY_X)
+
+
+def test_model_arrays_are_read_only_copies():
+    # A write through a model's arrays would change its predictions but not
+    # its observables, which were derived on construction; model.json would
+    # record the change. The caller's own arrays stay theirs.
+    X = TOY_X.copy()
+    model = train_ovo(X, TOY_LABELS, SvmConfig(), KernelConfig(mode=FIDELITY_EXACT))
+    (bm,) = model.binary_models
+    alpha = bm.alpha.copy()
+    hand_built = BinaryModel(bm.label_pair, alpha, bm.y, bm.bias, bm.training_indices)
+    for array in (bm.alpha, bm.y, bm.training_indices, hand_built.alpha,
+                  model.training_features, model.observables):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    X[:] = alpha[:] = 0
+    assert hand_built.alpha.tobytes() == bm.alpha.tobytes()
+    labels = predict(model, TOY_X)
+    assert labels == ["A", "A", "B", "B"] == predict(_json_round_trip(model), TOY_X)
+
+
+def _all_columns_decisions(model, X):
+    # The sampled dual sums with shots spent on every kernel entry.
+    K = gram_rectangular(X, model.training_features, model.kernel_config).values
+    return np.column_stack([(K.take(bm.training_indices, axis=1) * (bm.alpha * bm.y)).sum(axis=1)
+                            + bm.bias for bm in model.binary_models])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from([1, 16, 1000]))
+def test_sampled_decisions_spend_shots_only_on_weighed_columns(seed, m, shots):
+    # Three classes of 2-4 training points each. The first point of a class
+    # is a support vector of both its binary models and the second of none,
+    # so that every model weighs both labels and skips a column of label -1
+    # (its coefficient alpha * y is -0.0); the others are drawn.
+    rng = np.random.default_rng(seed)
+    classes = ["A", "B", "C"]
+    sizes = rng.integers(2, 5, size=3)
+    label = np.repeat(np.arange(3), sizes)
+    start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    weighed = rng.random(len(label)) < 0.5
+    weighed[start], weighed[start + 1] = True, False
+    models = []
+    for a, b in itertools.combinations(range(3), 2):
+        idx = np.flatnonzero((label == a) | (label == b))
+        alpha = np.where(weighed[idx], rng.uniform(0.1, 2.0, len(idx)), 0.0)
+        models.append(BinaryModel((classes[a], classes[b]), alpha,
+                                  np.where(label[idx] == a, 1.0, -1.0), rng.normal(), idx))
+    model = SvmModel(classes, models, KernelConfig(FIDELITY_SAMPLED, shots=shots, seed=seed),
+                     rng.uniform(0.0, 1.0, size=(len(label), 2)))
+    X = rng.uniform(-0.5, 1.5, size=(m, 2))
+    assert _decisions(model, X).tobytes() == _all_columns_decisions(model, X).tobytes()
 
 
 def _forms(*values):
