@@ -28,7 +28,6 @@ LABELS = ("LOS", "NLOS", "LOS_NLOS")
 
 CSV_HEADER = ["cn0_diff", "elevation_deg", "label"]
 _FEATURES = ("cn0_diff", "elevation")  # the columns of Dataset.features()
-_SAMPLES_ONLY = "a Dataset holds only SignalSample objects"
 
 _PRESET_COUNTS = {
     "T0_SHAPE": {"LOS": 80, "NLOS": 40, "LOS_NLOS": 32},
@@ -63,34 +62,29 @@ class SignalSample:
             raise InvalidLabelsError(f"unknown label {self.label!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: list[SignalSample]
+    samples: tuple[SignalSample, ...]
 
     def __post_init__(self):
         if not isinstance(self.samples, (list, tuple)) \
                 or not all(isinstance(s, SignalSample) for s in self.samples):
-            raise InvalidInputError(_SAMPLES_ONLY)
+            raise InvalidInputError("a Dataset holds only SignalSample objects")
+        vars(self)["samples"] = tuple(self.samples)  # frozen: stored past __setattr__
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def features(self) -> np.ndarray:
         """n x 2 matrix with columns (cn0_diff, elevation), also for n = 0."""
-        try:
-            rows = [[s.cn0_diff, s.elevation] for s in self.samples]
-        except AttributeError:  # the list was changed after construction
-            raise InvalidInputError(_SAMPLES_ONLY) from None
+        rows = [[s.cn0_diff, s.elevation] for s in self.samples]
         return np.array(rows, dtype=float).reshape(len(rows), len(_FEATURES))
 
     def labels(self) -> list[str]:
-        try:
-            return [s.label for s in self.samples]
-        except AttributeError:
-            raise InvalidInputError(_SAMPLES_ONLY) from None
+        return [s.label for s in self.samples]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScalerParams:
     data_min: np.ndarray
     data_max: np.ndarray
@@ -98,13 +92,17 @@ class ScalerParams:
     target_hi: float = 1.0
 
     def __post_init__(self):
-        self.target_lo, self.target_hi = _check_targets(self.target_lo, self.target_hi)
-        self.data_min, self.data_max = _numbers(self.data_min), _numbers(self.data_max)
-        if not self.data_min.shape == self.data_max.shape == (len(_FEATURES),):
+        target_lo, target_hi = _check_targets(self.target_lo, self.target_hi)
+        data_min, data_max = (_read_only(_numbers(v)) for v in (self.data_min, self.data_max))
+        if not data_min.shape == data_max.shape == (len(_FEATURES),):
             raise DimensionError(f"data_min and data_max must hold {len(_FEATURES)} values, "
-                                 f"got shapes {self.data_min.shape} and {self.data_max.shape}")
-        for lo, hi, name in zip(self.data_min.tolist(), self.data_max.tolist(), _FEATURES):
-            if not -math.inf < lo < hi < math.inf:
+                                 f"got shapes {data_min.shape} and {data_max.shape}")
+        with np.errstate(all="ignore"):  # left to the test below
+            scale = _read_only((target_hi - target_lo) / (data_max - data_min))
+        vars(self).update(target_lo=target_lo, target_hi=target_hi, data_min=data_min,
+                          data_max=data_max, _scale=scale)  # frozen: stored past __setattr__
+        for lo, hi, s, name in zip(data_min.tolist(), data_max.tolist(), scale.tolist(), _FEATURES):
+            if not 0 < s < math.inf:
                 raise DegenerateDataError(
                     f"feature {name!r} has no finite range [{lo!r}, {hi!r}]; cannot scale")
 
@@ -196,10 +194,8 @@ def apply_scaler(params: ScalerParams, data) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != len(_FEATURES):
         raise DimensionError(f"expected an (m, {len(_FEATURES)}) feature matrix, "
                              f"got shape {X.shape}")
-    span = params.data_max - params.data_min
-    scale = (params.target_hi - params.target_lo) / span
     with np.errstate(over="ignore", invalid="ignore"):  # left to the check below
-        scaled = params.target_lo + (X - params.data_min) * scale
+        scaled = params.target_lo + (X - params.data_min) * params._scale
     if not np.isfinite(scaled).all():
         raise InvalidInputError("feature values and their scaled values must be finite")
     return scaled
@@ -228,6 +224,12 @@ def _numbers(value, integer: bool = False) -> np.ndarray:
         return np.asarray(value, dtype=int if integer else float)
     except (OverflowError, ValueError) as exc:  # an int out of range, ragged lists
         raise InvalidInputError(str(exc)) from None
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array = array.copy()  # _numbers may return the caller's own array
+    array.flags.writeable = False
+    return array
 
 
 def _check_matrix(X, name: str = "X", width: int | None = None) -> np.ndarray:
@@ -268,8 +270,9 @@ def _check_targets(lo, hi) -> tuple[float, float]:
     if not (_is_real(lo) and _is_real(hi)):
         raise InvalidSettingError(
             f"scaler targets must be integers or floats, got {lo!r} and {hi!r}")
-    if not -math.inf < float(lo) < float(hi) < math.inf:
-        raise InvalidSettingError(f"target_hi must exceed target_lo, both finite, got [{lo}, {hi}]")
+    if not 0 < float(hi) - float(lo) < math.inf:
+        raise InvalidSettingError(
+            f"target_hi must exceed target_lo by a finite span, got [{lo}, {hi}]")
     return float(lo), float(hi)
 
 

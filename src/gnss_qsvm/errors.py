@@ -11,7 +11,7 @@ class DimensionError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """Data has no variation where variation is required."""
+    """Data has no variation where variation is required, or no finite range."""
 
 
 class CsvParseError(ValueError):
@@ -21,10 +21,10 @@ class CsvParseError(ValueError):
 class InvalidLabelsError(ValueError):
     """Label set is unusable for training (no labels, one class; unknown, missing,
     unhashable or unsortable labels or classes), a sample's label is not a reception
-    label, a model's classes are no list or unhashable, its binary models are not the
-    one-vs-one pairs of its classes or have a label pair that is no list or tuple, a
-    label being scored is unhashable or outside the class list, or a training or
-    scored class list names a class twice."""
+    label, a model's classes are unhashable or no list or tuple, its binary models are
+    not the one-vs-one pairs of its classes or have a label pair that is no list or tuple,
+    a label being scored is unhashable or outside the class list, or a training or scored
+    class list names a class twice."""
 
 
 class InvalidSettingError(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_int, _check_matrix
+from .data import _check_int, _check_matrix, _read_only
 from .errors import InvalidSettingError
 # The gate-by-gate reference in tests/gatesim.py takes the same conventions
 # from gnss_qsvm.sim, so its states can equal these bit for bit.
@@ -68,8 +68,7 @@ def _plan(config: FeatureMapConfig) -> tuple:
         first = np.zeros((1 << n, 2), dtype=complex)
         first[0] = 1.0
         _hadamard_layer(first, halves)
-        first = first[:, :1].copy()
-        first.flags.writeable = False
+        first = _read_only(first[:, :1])
         # PHASE multiplies the amplitudes whose target bit is set; a
         # CX . PHASE . CX block multiplies those where z_i != z_j.
         targets = [[b] for _, b in halves] + [

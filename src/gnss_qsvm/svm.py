@@ -67,7 +67,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .data import (ScalerParams, _check_int, _check_matrix, _check_positive, _is_real, _numbers,
-                   _write_artifact)
+                   _read_only, _write_artifact)
 from .errors import (ConvergenceWarning, DimensionError, InvalidInputError, InvalidLabelsError,
                      ModelFormatError)
 from .feature_map import FeatureMapConfig, statevectors
@@ -135,19 +135,20 @@ class BinaryModel:
 
 @dataclass(frozen=True, eq=False)
 class SvmModel:
-    classes: list
-    binary_models: list
+    classes: tuple
+    binary_models: tuple
     kernel_config: KernelConfig
     training_features: np.ndarray
     # Exact kernel only: every binary model's W side by side, in model order.
     observables: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if not isinstance(self.binary_models, list) \
+        if not isinstance(self.binary_models, (list, tuple)) \
                 or not all(isinstance(bm, BinaryModel) for bm in self.binary_models):
-            raise InvalidInputError("binary_models must be a list of BinaryModel objects")
+            raise InvalidInputError("binary_models must hold only BinaryModel objects")
         try:
-            distinct = isinstance(self.classes, list) and len({*self.classes}) == len(self.classes)
+            distinct = isinstance(self.classes, (list, tuple)) \
+                and len({*self.classes}) == len(self.classes)
         except TypeError as exc:  # an unhashable class
             raise InvalidLabelsError(str(exc)) from None
         pairs = list(combinations(self.classes, 2)) if distinct else []
@@ -155,14 +156,15 @@ class SvmModel:
             raise InvalidLabelsError(
                 f"binary models {[bm.label_pair for bm in self.binary_models]} are not the "
                 f"one-vs-one pairs of a list of at least two distinct classes {self.classes!r}")
-        vars(self)["training_features"] = _read_only(_check_features(  # frozen, as in BinaryModel
-            self.training_features, self.kernel_config, "training_features"))
-        n_train = len(self.training_features)
+        features = _check_features(self.training_features, self.kernel_config, "training_features")
+        n_train = len(features)
         if any(bm.training_indices.max(initial=-1) >= n_train for bm in self.binary_models):
             raise InvalidInputError(f"training indices must be below the {n_train} training points")
         # For predict: each pair's two class indices, each model's bias.
         index_pairs = np.array([*combinations(range(len(self.classes)), 2)]).T
-        vars(self).update(_pairs=tuple(_read_only(index_pairs)),
+        vars(self).update(classes=tuple(self.classes), binary_models=tuple(self.binary_models),
+                          training_features=_read_only(features),  # frozen, as in BinaryModel
+                          _pairs=tuple(_read_only(index_pairs)),
                           _biases=_read_only(np.array([bm.bias for bm in self.binary_models])))
         if self.kernel_config.mode == FIDELITY_EXACT:
             vars(self)["observables"] = _observables(self)
@@ -187,12 +189,6 @@ def _observables(model: SvmModel) -> np.ndarray:
     observables = np.hstack(blocks)
     observables.flags.writeable = False
     return observables
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array = array.copy()  # _numbers may return the caller's own array
-    array.flags.writeable = False
-    return array
 
 
 def solve_binary_smo(

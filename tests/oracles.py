@@ -8,6 +8,8 @@ import numpy as np
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 IDENTITY = np.eye(2, dtype=complex)
+PAULIS = (IDENTITY, np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]]), np.diag([1.0 + 0j, -1.0]))
 
 
 def phase_matrix(theta: float) -> np.ndarray:
@@ -68,6 +70,25 @@ def mapped_state(x, repetitions: int = 2, entanglement: str = "full") -> np.ndar
     e0 = np.zeros(U.shape[0], dtype=complex)
     e0[0] = 1.0
     return U @ e0
+
+
+def pauli_strings(num_qubits: int) -> np.ndarray:
+    """The 4**n Pauli strings on n qubits, Kronecker products of I, X, Y, Z."""
+    strings = [np.ones((1, 1), dtype=complex)]
+    for _ in range(num_qubits):
+        strings = [np.kron(s, p) for s in strings for p in PAULIS]
+    return np.array(strings)
+
+
+def pauli_features(states) -> np.ndarray:
+    """Row i holds the 4**n real expectations <psi_i|P|psi_i> of state i
+    (from ``mapped_state``) over ``pauli_strings(n)``. A pure state's
+    projector is 2**-n sum_P <P> P, so an exact Gram is Phi Phi^T / 2**n, and
+    sum_i c_i |psi_i><psi_i| is 2**-n sum_P w_P P with w = c Phi (Schuld 2021,
+    arXiv:2101.11020)."""
+    states = np.asarray(states, dtype=complex)
+    strings = pauli_strings(int(math.log2(states.shape[1])))
+    return np.einsum("ia,pab,ib->ip", states.conj(), strings, states).real
 
 
 def overlap_fidelity(x, y, repetitions: int = 2) -> float:

@@ -1,4 +1,6 @@
+import dataclasses
 import errno
+import hashlib
 import math
 import os
 import signal
@@ -11,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gnss_qsvm
 from gnss_qsvm.data import (
@@ -30,8 +34,13 @@ from gnss_qsvm.errors import (CsvParseError, DegenerateDataError, DimensionError
                               InvalidSettingError)
 from gnss_qsvm.evaluate import (boundary_grid, make_report, save_confusion_csv, save_grid_csv,
                                 save_report)
-from gnss_qsvm.kernels import RBF, KernelConfig
-from gnss_qsvm.svm import SvmConfig, load_model, save_model, train_ovo
+from gnss_qsvm.feature_map import FeatureMapConfig
+from gnss_qsvm.kernels import FIDELITY_EXACT, RBF, KernelConfig
+from gnss_qsvm.svm import BinaryModel, SvmConfig, SvmModel, load_model, save_model, train_ovo
+
+
+# Subnormal spans, ends of the float range, equal bounds and NaN.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 1.0, 1e308, -1e308, math.inf, math.nan]
 
 
 def make_dataset(rows):
@@ -281,7 +290,8 @@ class TestScaler:
         with pytest.raises(ValueError):
             fit_scaler(ds, 1.0, 0.0)
 
-    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                        (-1e308, 1e308)])
     def test_non_finite_target_rejected(self, lo, hi):
         ds = make_dataset([(0.0, 10.0, "LOS"), (10.0, 50.0, "NLOS")])
         with pytest.raises(ValueError, match="target_hi must exceed target_lo"):
@@ -307,6 +317,55 @@ class TestScaler:
     def test_params_without_finite_range_rejected(self, data_min, data_max):
         with pytest.raises(DegenerateDataError, match="no finite range"):
             ScalerParams(np.array(data_min), np.array(data_max))
+
+    # Each span is finite and ordered, but no finite positive factor maps it
+    # onto [0, 1]: one overflows the factor, the other the span itself.
+    @pytest.mark.parametrize("data_min, data_max", [([0.0, 0.0], [5e-324, 5e-324]),
+                                                    ([-1e308, 0.0], [1e308, 1.0])],
+                             ids=["subnormal span", "span beyond float range"])
+    def test_params_without_finite_scale_rejected(self, data_min, data_max):
+        with pytest.raises(DegenerateDataError, match="'cn0_diff' has no finite range"):
+            ScalerParams(data_min, data_max)
+
+    def test_fitted_range_without_finite_scale_rejected(self):
+        ds = make_dataset([(-1e308, 10.0, "LOS"), (1e308, 50.0, "NLOS")])
+        with pytest.raises(DegenerateDataError, match="'cn0_diff' has no finite range"):
+            fit_scaler(ds)
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), min_size=6, max_size=6))
+    def test_params_map_their_bounds_onto_their_targets_or_raise_a_named_error(self, values):
+        # pyproject's filterwarnings turns a RuntimeWarning into an error, so
+        # each draw also checks that neither step warns.
+        data_min, data_max, (target_lo, target_hi) = values[0:2], values[2:4], values[4:]
+        try:
+            params = ScalerParams(data_min, data_max, target_lo, target_hi)
+        except (DegenerateDataError, InvalidSettingError):
+            return
+        scaled = apply_scaler(params, [data_min, data_max])
+        assert scaled[0].tolist() == [target_lo] * 2
+        for span, end in zip(np.subtract(data_max, data_min), scaled[1]):
+            # Rounding of the target span, the factor (also where it is
+            # subnormal), the product and the sum.
+            factor = (target_hi - target_lo) / span
+            bound = 4 * np.finfo(float).eps * max(abs(target_lo), abs(target_hi)) \
+                + span * np.spacing(factor) + 5e-324
+            assert abs(end - target_hi) <= bound
+
+    # sha256 of apply_scaler's bytes on each preset (data seed 0) under six
+    # scalers, fitted on T0, T1 and T2 onto [0, 1] and [-1, pi], recorded when
+    # apply_scaler still computed its factor on every call.
+    @pytest.mark.parametrize("preset, digest", [
+        ("T0_SHAPE", "864c5bd464221d91d48537560c788b454e48dc0a5d1d54305a2693ae8a8af3b9"),
+        ("T1_SHAPE", "ca264d59e836ef8df1867f46b344f43e3e243f856361d7b5bc59b798626d11fd"),
+        ("T2_SHAPE", "cdc4b5a8d44105b5aae023f52aa373d87774c35777f5fee05ff550fb433d0898"),
+    ])
+    def test_scaled_presets_match_recorded_digests(self, preset, digest):
+        scalers = [fit_scaler(generate_synthetic(p, seed=0), lo, hi)
+                   for p in PRESETS for lo, hi in ((0.0, 1.0), (-1.0, math.pi))]
+        data = generate_synthetic(preset, seed=0)
+        scaled = b"".join(apply_scaler(scaler, data).tobytes() for scaler in scalers)
+        assert hashlib.sha256(scaled).hexdigest() == digest
 
     def test_params_of_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="must hold 2 values"):
@@ -383,19 +442,35 @@ class TestGenerateSynthetic:
             generate_synthetic("T1_SHAPE", seed)
 
 
-@pytest.mark.parametrize("call", [
-    Dataset.features, Dataset.labels, fit_scaler,
-    lambda ds: apply_scaler(ScalerParams(np.zeros(2), np.ones(2)), ds),
-    lambda ds: write_csv(ds, os.devnull),
-], ids=["features", "labels", "fit_scaler", "apply_scaler", "write_csv"])
-@pytest.mark.parametrize("rows", [[], [(1.0, 10.0, "LOS")]], ids=["empty", "one sample"])
-def test_samples_changed_after_construction_raise_invalid_input_error(call, rows):
-    # The constructor checks the list it is given; an item appended later
-    # fails with the constructor's message where it is read.
-    ds = make_dataset(rows)
-    ds.samples.append(1)
-    with pytest.raises(InvalidInputError, match="a Dataset holds only SignalSample objects"):
-        call(ds)
+def _binary_model():
+    return BinaryModel(["LOS", "NLOS"], [0.5, 0.5], np.array([1.0, -1.0]), 0.0, [0, 1])
+
+
+# Each caller-facing type, built from lists and writable arrays.
+CALLER_FACING = {
+    "SignalSample": lambda: SignalSample(1.0, 10.0, "LOS"),
+    "Dataset": lambda: Dataset([SignalSample(1.0, 10.0, "LOS")]),
+    "ScalerParams": lambda: ScalerParams([0.0, 10.0], np.array([1.0, 50.0])),
+    "FeatureMapConfig": lambda: FeatureMapConfig(2),
+    "KernelConfig": lambda: KernelConfig(FIDELITY_EXACT),
+    "SvmConfig": lambda: SvmConfig(),
+    "BinaryModel": _binary_model,
+    "SvmModel": lambda: SvmModel(["LOS", "NLOS"], [_binary_model()], KernelConfig(FIDELITY_EXACT),
+                                 np.array([[0.1, 0.2], [0.8, 0.9]])),
+}
+
+
+@pytest.mark.parametrize("make", list(CALLER_FACING.values()), ids=list(CALLER_FACING))
+def test_caller_facing_types_are_frozen_and_hold_nothing_writable(make):
+    # What a constructor checked cannot change: no field can be reassigned,
+    # and none holds a list or an array that can be written in place.
+    value = make()
+    for f in dataclasses.fields(value):
+        held = getattr(value, f.name)
+        assert not isinstance(held, list), f.name
+        assert not (isinstance(held, np.ndarray) and held.flags.writeable), f.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, held)
 
 
 @pytest.mark.parametrize("samples", [None, 5, iter([])], ids=["None", "int", "iterator"])

@@ -16,8 +16,9 @@ import pytest
 from gnss_qsvm import svm
 from gnss_qsvm.data import Dataset, apply_scaler, fit_scaler, generate_synthetic
 from gnss_qsvm.feature_map import FeatureMapConfig
-from gnss_qsvm.kernels import FIDELITY_EXACT, KernelConfig, gram_rectangular
+from gnss_qsvm.kernels import FIDELITY_EXACT, KernelConfig, gram_rectangular, gram_symmetric
 from gnss_qsvm.svm import SvmConfig, _decisions, load_model, predict, save_model, train_ovo
+from oracles import mapped_state, pauli_features, pauli_strings
 
 TOL = 1e-12
 PRESETS = ("T0_SHAPE", "T1_SHAPE", "T2_SHAPE")
@@ -93,6 +94,22 @@ def test_each_observable_is_hermitian_with_zero_trace():
         W = model.observables[:, k * dim:(k + 1) * dim]
         assert np.array_equal(W, W.conj().T)
         assert abs(np.trace(W)) <= 1e-9
+
+
+@pytest.mark.parametrize("phase", list(PHASES))
+def test_gram_and_observables_match_the_pauli_oracle(phase):
+    # Through the Pauli features of the oracle's own states, which share no
+    # code with the Gram's _block or the model's _observables: K = Phi Phi^T / 4
+    # and W = 1/4 sum_P w_P P with w = sum_i alpha_i y_i Phi_i.
+    model, _ = _phase_model(PHASES[phase])
+    phi = pauli_features([mapped_state(x) for x in model.training_features])
+    gram = gram_symmetric(model.training_features, model.kernel_config).values
+    assert np.abs(gram - phi @ phi.T / 4).max() <= 1e-13
+    strings = pauli_strings(2)
+    for k, bm in enumerate(model.binary_models):
+        w = (bm.alpha * bm.y) @ phi[bm.training_indices]
+        W = np.tensordot(w, strings, 1) / 4
+        assert np.abs(model.observables[:, 4 * k:4 * (k + 1)] - W).max() <= 1e-13
 
 
 def _random_model(num_features: int, X, labels):

@@ -659,6 +659,22 @@ def test_model_fields_are_frozen_and_replace_checks_again():
     assert labels == predict(_json_round_trip(zeroed), TOY_X) and labels != predict(model, TOY_X)
 
 
+def test_model_classes_and_binary_models_are_tuples_that_replace_takes():
+    # Neither list can change under a checked model: both are stored as
+    # tuples, and replace passes them back as they are.
+    model = train_ovo(TOY_X, ["A", "A", "B", "C"], SvmConfig(), KernelConfig(mode=FIDELITY_EXACT))
+    assert type(model.classes) is type(model.binary_models) is tuple
+    with pytest.raises(TypeError):
+        model.binary_models[0] = model.binary_models[1]
+    with pytest.raises(AttributeError):
+        model.classes.append("EXTRA")
+    assert model_to_dict(dataclasses.replace(model)) == model_to_dict(model)
+    biased = dataclasses.replace(model, binary_models=(
+        dataclasses.replace(model.binary_models[0], bias=50.0), *model.binary_models[1:]))
+    labels = predict(biased, TOY_X)
+    assert labels == predict(_json_round_trip(biased), TOY_X) and labels != predict(model, TOY_X)
+
+
 def test_model_arrays_are_read_only_copies():
     # A write through a model's arrays would change its predictions but not
     # its observables, which were derived on construction; model.json would
